@@ -15,7 +15,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.assets import GraphAssets
 from ..core.queries import Query
@@ -177,6 +177,22 @@ def _perf_metadata() -> Dict[str, float]:
     }
 
 
+def _deterministic_part(payload: Dict[str, Any]) -> tuple:
+    """The fields of an artifact that a fixed program always reproduces."""
+    return (payload["title"], payload["headers"], payload["rows"],
+            payload["metadata"]["kernel_events"])
+
+
+def _same_artifact(path: Path, payload: Dict[str, Any]) -> bool:
+    """True when ``path`` already holds ``payload``'s deterministic part."""
+    try:
+        on_disk = _deterministic_part(json.loads(path.read_text()))
+    except (OSError, ValueError, KeyError, TypeError):
+        return False  # absent, unreadable or not an artifact: rewrite
+    # JSON round trip so tuples compare equal to the lists on disk.
+    return on_disk == _deterministic_part(json.loads(json.dumps(payload)))
+
+
 def emit(title: str, headers: Sequence[str],
          rows: Sequence[Sequence[object]], name: str) -> str:
     """Print a table and persist it as a JSON artifact (atomically).
@@ -184,7 +200,10 @@ def emit(title: str, headers: Sequence[str],
     The artifact carries a ``metadata`` block (wall-clock seconds, kernel
     events and events/sec since the previous artifact) so every benchmark
     contributes to the perf trajectory for free. Row values remain exactly
-    reproducible; only ``generated_at`` and ``metadata`` vary run to run.
+    reproducible; only ``generated_at`` and the wall-clock metadata vary
+    run to run, so a file whose table and event count already match is
+    left untouched: a regeneration dirties the work tree only where a
+    simulated number moved.
     """
     table = format_table(title, headers, rows)
     print("\n" + table)
@@ -195,7 +214,9 @@ def emit(title: str, headers: Sequence[str],
         "generated_at": time.strftime("%Y-%m-%d %H:%M:%S"),
         "metadata": _perf_metadata(),
     }
-    write_json_atomic(RESULTS_DIR / f"{name}.json", payload)
+    path = RESULTS_DIR / f"{name}.json"
+    if not _same_artifact(path, payload):
+        write_json_atomic(path, payload)
     return table
 
 

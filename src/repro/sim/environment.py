@@ -1,50 +1,15 @@
 """The discrete-event simulation environment (clock + event queue).
 
-The environment owns the simulated clock and a pending-event structure.
-``run()`` dispatches events in ``(time, sequence)`` order, which makes
-every simulation fully deterministic for a fixed program: ties at the same
-instant resolve in scheduling order.
+The environment owns the simulated clock and a binary heap of pending
+``(time, sequence, event)`` triples.  ``run()`` dispatches events in
+``(time, sequence)`` order, which makes every simulation fully
+deterministic for a fixed program: ties at the same instant resolve in
+scheduling order.
 
-Kernel selection (``REPRO_KERNEL``)
------------------------------------
-
-Three interchangeable schedulers implement the same dispatch order; pick
-one with ``Environment(kernel=...)`` or the ``REPRO_KERNEL`` environment
-variable:
-
-``calendar`` (default)
-    A calendar-queue scheduler with **cohort wave dispatch**.  Events
-    sharing a timestamp accumulate in one list (keyed by exact time in
-    ``_pending``), so a whole same-instant *cohort* pops as a unit, the
-    clock advances once per cohort, and an event insert is one dict
-    probe plus a list append — no priority-queue work per event at all.
-    Zero-delay events scheduled *while the cohort dispatches* (the
-    ``succeed()`` cascade that dominates real simulations) append
-    straight onto the live batch.  The priority structure only orders
-    the *distinct timestamps*: a calendar queue of time buckets sized
-    from the decayed mean of observed inter-cohort deltas (O(1)
-    amortized insert/pop), with far-future times falling back to a
-    sorted overflow list that re-seeds the bucket window as the clock
-    advances.  Dispatch order is exactly the heap kernel's
-    ``(time, sequence)`` order: FIFO within a timestamp is the append
-    order of the cohort list, and timestamps dispatch in increasing
-    order.  The property-based equivalence suite in
-    ``tests/test_kernel_equivalence.py`` replays random programs on
-    both kernels and diffs the traces.
-
-``heap``
-    The PR 4 binary-heap kernel, kept as the bit-exact reference for the
-    equivalence suite and for ``tie_break="lifo"`` audit runs (reversed
-    tie order is a heap-key trick the calendar path does not replicate;
-    a LIFO environment always uses the heap scheduler).
-
-``native``
-    The calendar kernel with its pop/dispatch inner loop compiled to C
-    (:mod:`repro.sim.native`) — built on demand with the system C
-    compiler, no third-party dependencies.  Falls back to ``calendar``
-    (with a recorded reason) when no toolchain or CPython headers are
-    available.  Scheduling semantics are identical; only wall clock
-    changes.
+The heap is sized to the traffic this repository actually generates:
+the paper's cluster keeps a few dozen events pending and fewer than two
+events share a timestamp (``tests/test_sanitize.py`` pins both), so
+there is nothing for a bucketed or cohort-batched scheduler to amortise.
 
 Hot-path design
 ---------------
@@ -52,10 +17,11 @@ Hot-path design
 ``timeout()`` serves bare timeouts (no value) from a free list that
 :meth:`~repro.sim.events.Process._resume` refills as processes consume
 them, so the single most common event in every simulation costs no
-allocation in steady state.  The calendar run loops inline the first
-iteration of ``Process._resume`` for single-waiter events exactly like
-the heap loops do — keep all of them and ``Event._run_callbacks`` in
-lockstep.
+allocation in steady state.  ``run()`` inlines the first iteration of
+``Process._resume`` for single-waiter events — keep it,
+``Process._resume`` and ``Event._run_callbacks`` in lockstep
+(``tests/test_kernel_equivalence.py`` replays random programs through
+``run()`` and through a plain ``step()`` loop and diffs the traces).
 
 The environment also counts dispatched events (:attr:`events_processed`
 per environment, :func:`total_events_processed` process-wide), which is
@@ -69,17 +35,16 @@ counterpart of ``python -m repro.analysis``: bare timeouts are *retired*
 instead of recycled so any retained reference trips the POOLED guards
 deterministically, module-level ``random``/``np.random`` calls raise
 while the simulation runs (see :mod:`repro.analysis.sanitize`), and the
-run loops tally same-timestamp tie cohorts (:meth:`sanitize_report`).
-Sanitize mode never changes simulated results — only what misuse does.
-``tie_break="lifo"`` reverses same-timestamp dispatch order for the
-tie-sensitivity audit (:func:`repro.analysis.sanitize.audit_tie_sensitivity`).
+run loop tallies same-timestamp tie cohorts and queue depth
+(:meth:`sanitize_report`).  Sanitize mode never changes simulated
+results — only what misuse does.  ``tie_break="lifo"`` reverses
+same-timestamp dispatch order for the tie-sensitivity audit
+(:func:`repro.analysis.sanitize.audit_tie_sensitivity`).
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -100,20 +65,7 @@ from .events import (
 #: module-level rebind (and so imports see updates).
 _TOTAL_EVENTS = [0]
 
-#: Calendar size: time buckets per window.  Bounded so the idle sweep to
-#: the next non-empty bucket (amortized over everything dispatched from
-#: the window) stays cheap even when most buckets are empty.
-_NBUCKETS = 256
-
-#: Inter-cohort delta observations required before the first bucket
-#: window is seeded; until then distinct times are served straight off
-#: the overflow heap.
-_MIN_DELTA_OBS = 2.0
-
 _INF = float("inf")
-_NAN = float("nan")
-
-KERNELS = ("calendar", "heap", "native")
 
 
 def total_events_processed() -> int:
@@ -127,12 +79,6 @@ def _sanitize_from_env() -> bool:
         "1", "true", "yes", "on")
 
 
-def _kernel_from_env() -> str:
-    """Default scheduler, read from ``REPRO_KERNEL`` (default: calendar)."""
-    value = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    return value if value else "calendar"
-
-
 class Environment:
     """Execution environment for a single simulation run."""
 
@@ -140,26 +86,22 @@ class Environment:
         "_now", "_queue", "_sequence", "_active_process",
         "_timeout_pool", "_spare", "_events_processed", "_run_targets",
         "_sanitize", "_seq_step", "_tie_cohorts", "_tie_max",
-        # calendar-queue scheduler state
-        "_use_calendar", "kernel", "kernel_fallback_reason",
-        "_pending", "_last_when", "_last_list",
-        "_cohort", "_cohort_head", "_cohort_time",
-        "_buckets", "_cursor", "_base", "_width", "_inv_width",
-        "_bucket_count", "_overflow", "_dsum", "_dcnt", "_native_state",
+        "_last_when", "_tie_run", "_max_depth", "_distinct_times",
     )
+
+    #: Scheduler name, recorded by the perf ledger next to its numbers.
+    kernel = "heap"
 
     def __init__(self, initial_time: float = 0.0, *,
                  sanitize: Optional[bool] = None,
-                 tie_break: str = "fifo",
-                 kernel: Optional[str] = None) -> None:
+                 tie_break: str = "fifo") -> None:
         self._now = float(initial_time)
-        # Heap-kernel queue: (time, sequence, event) triples.
         self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = 0
         self._active_process: Optional[Process] = None
         self._timeout_pool: List[Timeout] = []
-        # One-slot fast lane in front of the free list: the run loops
-        # park the timeout they just recycled here and ``timeout()``
+        # One-slot fast lane in front of the free list: the run loop
+        # parks the timeout it just recycled here and ``timeout()``
         # takes it back without touching the list.  In the steady
         # yield-timeout cycle the same objects ping-pong through this
         # slot and the pool list never churns.
@@ -182,63 +124,15 @@ class Environment:
         else:
             raise SimulationError(
                 f"tie_break must be 'fifo' or 'lifo', got {tie_break!r}")
-        requested = _kernel_from_env() if kernel is None else str(kernel)
-        if requested not in KERNELS:
-            raise SimulationError(
-                f"kernel must be one of {KERNELS}, got {requested!r}")
-        self.kernel_fallback_reason: Optional[str] = None
-        if tie_break == "lifo" and requested != "heap":
-            # Reversed tie order is implemented as a heap sequence-key
-            # trick; the calendar path is FIFO-only by construction.
-            requested = "heap"
-            self.kernel_fallback_reason = "tie_break='lifo' requires heap"
-        self._native_state: Any = None
-        if requested == "native":
-            from . import native as _native_mod
-            self._native_state = _native_mod.load()
-            if self._native_state is None:
-                requested = "calendar"
-                self.kernel_fallback_reason = _native_mod.unavailable_reason()
-        self.kernel = requested
-        self._use_calendar = requested != "heap"
-        # Calendar scheduler state.  ``_pending`` maps each distinct
-        # scheduled timestamp to its cohort-in-waiting (events in
-        # insertion order); the bucket window + overflow heap order the
-        # timestamps themselves.  ``_cohort`` is the batch currently
-        # being dispatched, consumed by index so zero-delay appends
-        # during dispatch extend the live batch in FIFO order.
-        self._pending: Dict[float, List[Event]] = {}
-        # One-entry insert cache: the list last appended to and its
-        # timestamp.  Consecutive inserts at the same instant (lockstep
-        # timeouts, zero-delay cascades) skip even the dict probe; a NaN
-        # time never matches, and the cache never needs invalidation —
-        # once a timestamp's cohort is extracted the cached list IS the
-        # live cohort, where same-instant events belong anyway, and the
-        # clock can never return to an older cached time.
-        self._last_when = _NAN
-        self._last_list: List[Event] = []
-        self._cohort: List[Event] = []
-        self._cohort_head = 0
-        self._cohort_time = -_INF
-        self._buckets: List[List[float]] = [
-            [] for _ in range(_NBUCKETS)] if self._use_calendar else []
-        self._cursor = 0
-        self._base = 0.0
-        self._width: Optional[float] = None
-        # NaN until a width is known: any (when - base) * _inv_width
-        # window test is then False, routing inserts to the overflow heap.
-        self._inv_width = _NAN
-        self._bucket_count = 0
-        # Far-future / pre-window overflow: a min-heap of distinct
-        # timestamps (floats — no sequence needed, times are unique by
-        # construction) that re-seeds the bucket window as it drains.
-        self._overflow: List[float] = []
-        # Decayed inter-cohort delta stats driving the bucket width.
-        self._dsum = 0.0
-        self._dcnt = 0.0
-        # Sanitize-mode tallies of same-timestamp dispatch cohorts.
+        # Sanitize-mode tallies: same-timestamp dispatch cohorts (the
+        # open one carries across run() calls), deepest queue, distinct
+        # dispatch instants.
         self._tie_cohorts = 0
         self._tie_max = 1
+        self._last_when = -_INF
+        self._tie_run = 0
+        self._max_depth = 0
+        self._distinct_times = 0
 
     @property
     def sanitize(self) -> bool:
@@ -253,14 +147,20 @@ class Environment:
         unseeded global RNG — fails fast with :class:`SimulationError`
         instead of reporting). The tie-cohort tallies quantify how much
         same-timestamp tie-breaking the run exercised: cohorts of two or
-        more events resolve by insertion order, the contract the batched
-        kernel preserves (and now dispatches as one wave).
+        more events resolve by insertion order. ``max_queue_depth``
+        (most events pending at any dispatch) and ``distinct_times``
+        (instants dispatched; ``events_processed / distinct_times`` is
+        the mean cohort size) are the traffic shape the binary heap was
+        chosen for. All four are tallied by ``run()`` under sanitize
+        mode only.
         """
         return {
             "sanitize": self._sanitize,
             "reports": [],
             "tie_cohorts_multi": self._tie_cohorts,
             "max_tie_cohort": self._tie_max,
+            "max_queue_depth": self._max_depth,
+            "distinct_times": self._distinct_times,
         }
 
     @property
@@ -307,30 +207,9 @@ class Environment:
             # Timeout is born TRIGGERED so fail() can never have touched
             # it).
             timeout._state = TRIGGERED
-            if self._use_calendar:
-                when = self._now + delay
-                if when == self._last_when:
-                    self._last_list.append(timeout)
-                    return timeout
-                cohort = self._pending.get(when)
-                if cohort is None:
-                    if when == self._cohort_time:
-                        cohort = self._cohort
-                    else:
-                        cohort = [timeout]
-                        self._pending[when] = cohort
-                        self._last_when = when
-                        self._last_list = cohort
-                        self._time_insert(when)
-                        return timeout
-                cohort.append(timeout)
-                self._last_when = when
-                self._last_list = cohort
-            else:
-                sequence = self._sequence
-                heappush(self._queue,
-                         (self._now + delay, sequence, timeout))
-                self._sequence = sequence + self._seq_step
+            sequence = self._sequence
+            heappush(self._queue, (self._now + delay, sequence, timeout))
+            self._sequence = sequence + self._seq_step
             return timeout
         return Timeout(self, delay, value)
 
@@ -348,182 +227,20 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if self._use_calendar:
-            when = self._now + delay
-            if when == self._last_when:
-                self._last_list.append(event)
-                return
-            cohort = self._pending.get(when)
-            if cohort is None:
-                if when == self._cohort_time:
-                    # Same-instant cascade: join the live dispatch wave.
-                    cohort = self._cohort
-                else:
-                    cohort = [event]
-                    self._pending[when] = cohort
-                    self._last_when = when
-                    self._last_list = cohort
-                    self._time_insert(when)
-                    return
-            # Timestamp already pending (or live): join its cohort in
-            # FIFO position — the time itself is already ordered.
-            cohort.append(event)
-            self._last_when = when
-            self._last_list = cohort
-        else:
-            heappush(self._queue, (self._now + delay, self._sequence, event))
-            self._sequence += self._seq_step
-
-    def _time_insert(self, when: float) -> None:
-        """Track a newly-pending distinct timestamp in the calendar.
-
-        In-window times go to their bucket; everything else — far
-        future, behind the consume cursor, or no window yet (the NaN
-        ``_inv_width`` fails the comparison) — goes to the overflow
-        heap.  Cohort extraction always compares the bucket scan against
-        the overflow head, so dispatch order never depends on the window
-        being fresh.
-        """
-        offset = (when - self._base) * self._inv_width
-        if self._cursor <= offset < _NBUCKETS:
-            self._buckets[int(offset)].append(when)
-            self._bucket_count += 1
-        else:
-            heappush(self._overflow, when)
-
-    def _next_time(self) -> Optional[float]:
-        """Smallest pending distinct timestamp, without extracting it."""
-        overflow = self._overflow
-        if self._bucket_count:
-            buckets = self._buckets
-            cursor = self._cursor
-            bucket = buckets[cursor]
-            while not bucket:
-                cursor += 1
-                bucket = buckets[cursor]
-            self._cursor = cursor
-            when = bucket[0] if len(bucket) == 1 else min(bucket)
-            if overflow and overflow[0] < when:
-                return overflow[0]
-            return when
-        if overflow:
-            # Buckets empty: the overflow head is the global minimum
-            # (the window only re-seeds on extraction, never here).
-            return overflow[0]
-        return None
-
-    def _pop_time(self) -> Optional[float]:
-        """Extract the smallest pending distinct timestamp."""
-        overflow = self._overflow
-        while True:
-            if self._bucket_count:
-                buckets = self._buckets
-                cursor = self._cursor
-                bucket = buckets[cursor]
-                while not bucket:
-                    cursor += 1
-                    bucket = buckets[cursor]
-                self._cursor = cursor
-                if len(bucket) == 1:
-                    when = bucket[0]
-                    if overflow and overflow[0] < when:
-                        return heappop(overflow)
-                    bucket.clear()
-                else:
-                    when = min(bucket)
-                    if overflow and overflow[0] < when:
-                        return heappop(overflow)
-                    bucket.remove(when)
-                self._bucket_count -= 1
-                return when
-            if not overflow:
-                return None
-            # Buckets drained: re-seed the window from the overflow.
-            # Width: decayed mean of the observed inter-cohort deltas.
-            if self._dcnt >= _MIN_DELTA_OBS:
-                width = self._dsum / self._dcnt
-                self._dsum *= 0.5
-                self._dcnt *= 0.5
-                if 0.0 < width < _INF:
-                    self._width = width
-                    self._inv_width = 1.0 / width
-            width = self._width
-            if width is None:
-                return heappop(overflow)
-            base = overflow[0]
-            end = base + _NBUCKETS * width
-            if not (base < end < _INF):
-                # Degenerate width/base (inf overflow): serve heap-style.
-                return heappop(overflow)
-            # A sorted list is a valid min-heap, so the tail left behind
-            # after the in-window prefix moves out still supports
-            # heappush/heappop.
-            overflow.sort()
-            cut = bisect_left(overflow, end)
-            # cut >= 1 always: base = overflow[0] < end.
-            self._base = base
-            self._cursor = 0
-            inv_width = self._inv_width
-            buckets = self._buckets
-            last = _NBUCKETS - 1
-            for when in overflow[:cut]:
-                index = int((when - base) * inv_width)
-                if index > last:  # float edge at the window boundary
-                    index = last
-                buckets[index].append(when)
-            self._bucket_count += cut
-            del overflow[:cut]
-
-    def _form_cohort(self) -> Optional[float]:
-        """Extract the next cohort; returns its time, or None if empty.
-
-        Installs the batch as ``_cohort`` (head reset) and advances
-        ``_cohort_time``; the caller advances the clock.
-        """
-        when = self._pop_time()
-        if when is None:
-            return None
-        prev = self._cohort_time
-        self._cohort = self._pending.pop(when)
-        self._cohort_head = 0
-        self._cohort_time = when
-        delta = when - prev
-        if 0.0 < delta < _INF:
-            self._dsum += delta
-            self._dcnt += 1.0
-        return when
+        heappush(self._queue, (self._now + delay, self._sequence, event))
+        self._sequence += self._seq_step
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._use_calendar:
-            if self._cohort_head < len(self._cohort):
-                return self._cohort_time
-            when = self._next_time()
-            return _INF if when is None else when
         if not self._queue:
             return _INF
         return self._queue[0][0]
 
     def step(self) -> None:
         """Process the single next event."""
-        if self._use_calendar:
-            head = self._cohort_head
-            cohort = self._cohort
-            if head >= len(cohort):
-                if self._form_cohort() is None:
-                    raise SimulationError("step() on an empty event queue")
-                cohort = self._cohort
-                head = 0
-            event = cohort[head]
-            self._cohort_head = head + 1
-            self._now = self._cohort_time
-            self._events_processed += 1
-            _TOTAL_EVENTS[0] += 1
-            event._run_callbacks()
-            return
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _seq, event = heapq.heappop(self._queue)
+        when, _seq, event = heappop(self._queue)
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
@@ -542,395 +259,61 @@ class Environment:
           its value (re-raising its exception on failure).
 
         Events only ever enter the queue at ``now + delay`` with
-        ``delay >= 0``, so unlike :meth:`step` the inlined loops skip the
+        ``delay >= 0``, so unlike :meth:`step` the inlined loop skips the
         scheduled-in-the-past check.
         """
-        if self._use_calendar:
-            if self._native_state is not None:
-                from . import native as _native_mod
-                return _native_mod.run(self, until)
-            return self._run_calendar(until)
-        return self._run_heap(until)
-
-    # -- calendar kernel run loops -----------------------------------------
-    def _run_calendar(self, until: Optional[Any]) -> Any:
-        # The dispatch block below appears twice (event-target loop and
-        # time-limit loop) and inlines the first iteration of
+        # The dispatch block inlines the first iteration of
         # Process._resume for single-waiter events — the dominant shape
-        # by far.  Keep the two copies, the heap twins in _run_heap,
-        # Process._resume and Event._run_callbacks in lockstep.
-        #
-        # Cohort wave dispatch: the batch for the current timestamp is a
-        # plain list consumed by index; ``IndexError`` on the read past
-        # the end is the (steady-state-free) batch terminator, and
-        # same-instant events scheduled while the wave dispatches append
-        # onto the live list in FIFO position.
-        #
-        # Invariant on entry: a non-exhausted live cohort implies
-        # ``_now == _cohort_time`` (only a run(until=event) return or
-        # step() leaves a cohort mid-dispatch, and both set the clock).
-        pool = self._timeout_pool
-        sanitize = self._sanitize
-        count = 0
-        cohort = self._cohort
-        head = self._cohort_head
-        counted = head
-        if sanitize:
-            # Lazy import: the analysis package only loads when sanitizing.
-            from ..analysis.sanitize import install_rng_trap, uninstall_rng_trap
-            last_when = float("-inf")
-            tie_run = 0
-        if isinstance(until, Event):
-            target = until
-            targets = self._run_targets
-            targets.append(target)
-            if sanitize:
-                install_rng_trap()
-            try:
-                while target._state != PROCESSED:
-                    try:
-                        event = cohort[head]
-                    except IndexError:
-                        count += head - counted
-                        counted = head  # folded: the finally must not re-add
-                        if self._form_cohort() is None:
-                            if target._state == POOLED:  # defensive: the
-                                # _run_targets exemption should make this
-                                # unreachable via the public API
-                                raise SimulationError(
-                                    "run(until=...) target is a recycled "
-                                    "bare Timeout; bare timeouts are "
-                                    "single-waiter (see repro.sim.events "
-                                    "docstring)"
-                                )
-                            raise SimulationError(
-                                "simulation ran out of events before the "
-                                "awaited event triggered (deadlock?)"
-                            )
-                        cohort = self._cohort
-                        head = 0
-                        counted = 0
-                        self._now = self._cohort_time
-                        continue
-                    head += 1
-                    if sanitize:
-                        when = self._cohort_time
-                        if when == last_when:
-                            tie_run += 1
-                            if tie_run == 2:
-                                self._tie_cohorts += 1
-                            if tie_run > self._tie_max:
-                                self._tie_max = tie_run
-                        else:
-                            last_when = when
-                            tie_run = 1
-                        if event._exception is not None \
-                                and event._waiter is None \
-                                and not event.callbacks \
-                                and event is not target:
-                            # Unhandled failure: nothing will ever observe
-                            # this exception — surface it instead of
-                            # letting it rot on the event.
-                            raise event._exception
-                    event._state = PROCESSED
-                    waiter = event._waiter
-                    if waiter is not None:
-                        event._waiter = None
-                        self._active_process = waiter
-                        try:
-                            if event._exception is None:
-                                result = waiter._send(event._value)
-                            else:
-                                result = waiter._generator.throw(
-                                    event._exception)
-                        except BaseException as exc:
-                            waiter._finish(exc)
-                        else:
-                            if type(event) is Timeout \
-                                    and event._value is None \
-                                    and not event.callbacks \
-                                    and event not in targets:
-                                # (run targets — this loop's and any
-                                # outer run()'s — must stay PROCESSED so
-                                # their loops can observe completion)
-                                event._state = POOLED
-                                if not sanitize:
-                                    if self._spare is None:
-                                        self._spare = event
-                                    else:
-                                        pool.append(event)
-                            try:
-                                rstate = result._state
-                            except AttributeError:
-                                waiter._yield_error(result)
-                            waiter._target = result
-                            if rstate == PROCESSED:
-                                waiter._resume(result)
-                            elif rstate == POOLED:
-                                raise SimulationError(
-                                    "yielded a recycled bare Timeout; bare "
-                                    "timeouts are single-waiter (see "
-                                    "repro.sim.events docstring)"
-                                )
-                            else:
-                                if result._waiter is None \
-                                        and not result.callbacks:
-                                    result._waiter = waiter
-                                else:
-                                    result.callbacks.append(
-                                        waiter._resume_cb)
-                                self._active_process = None
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for callback in callbacks:
-                            callback(event)
-            finally:
-                targets.pop()
-                count += head - counted
-                self._cohort_head = head
-                self._events_processed += count
-                _TOTAL_EVENTS[0] += count
-                if sanitize:
-                    uninstall_rng_trap()
-            return target.value
-
-        limit = _INF if until is None else float(until)
-        targets = self._run_targets
-        if limit < self._now:
-            raise SimulationError("run(until=...) is in the past")
-        if sanitize:
-            install_rng_trap()
-        try:
-            while True:
-                try:
-                    event = cohort[head]
-                except IndexError:
-                    count += head - counted
-                    counted = head  # folded: the except must not re-add
-                    # Non-destructive look-ahead: only extract the next
-                    # cohort once it is known to be inside the limit, so
-                    # nothing is staged past it (a staged future cohort
-                    # would outrank events scheduled later at earlier
-                    # times).
-                    when = self._next_time()
-                    if when is None or when > limit:
-                        self._cohort_head = head
-                        break
-                    self._form_cohort()
-                    cohort = self._cohort
-                    head = 0
-                    counted = 0
-                    self._now = when
-                    continue
-                head += 1
-                if sanitize:
-                    when = self._cohort_time
-                    if when == last_when:
-                        tie_run += 1
-                        if tie_run == 2:
-                            self._tie_cohorts += 1
-                        if tie_run > self._tie_max:
-                            self._tie_max = tie_run
-                    else:
-                        last_when = when
-                        tie_run = 1
-                    if event._exception is not None \
-                            and event._waiter is None \
-                            and not event.callbacks \
-                            and event not in targets:
-                        # Unhandled failure (see the event-target loop).
-                        raise event._exception
-                event._state = PROCESSED
-                waiter = event._waiter
-                if waiter is not None:
-                    event._waiter = None
-                    self._active_process = waiter
-                    try:
-                        if event._exception is None:
-                            result = waiter._send(event._value)
-                        else:
-                            result = waiter._generator.throw(event._exception)
-                    except BaseException as exc:
-                        waiter._finish(exc)
-                    else:
-                        if type(event) is Timeout and event._value is None \
-                                and not event.callbacks \
-                                and event not in targets:
-                            event._state = POOLED
-                            if not sanitize:
-                                if self._spare is None:
-                                    self._spare = event
-                                else:
-                                    pool.append(event)
-                        try:
-                            rstate = result._state
-                        except AttributeError:
-                            waiter._yield_error(result)
-                        waiter._target = result
-                        if rstate == PROCESSED:
-                            waiter._resume(result)
-                        elif rstate == POOLED:
-                            raise SimulationError(
-                                "yielded a recycled bare Timeout; bare "
-                                "timeouts are single-waiter (see "
-                                "repro.sim.events docstring)"
-                            )
-                        else:
-                            if result._waiter is None \
-                                    and not result.callbacks:
-                                result._waiter = waiter
-                            else:
-                                result.callbacks.append(waiter._resume_cb)
-                            self._active_process = None
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = []
-                    for callback in callbacks:
-                        callback(event)
-        except BaseException:
-            count += head - counted
-            self._cohort_head = head
-            raise
-        finally:
-            self._events_processed += count
-            _TOTAL_EVENTS[0] += count
-            if sanitize:
-                uninstall_rng_trap()
-        if until is not None:
-            self._now = limit
-        return None
-
-    # -- heap kernel run loops ---------------------------------------------
-    def _run_heap(self, until: Optional[Any]) -> Any:
-        # The PR 4 inlined heap loops, verbatim: the reference scheduler
-        # for the equivalence suite and the lifo tie-break audit.  Keep
-        # the two copies, the calendar twins above, Process._resume and
-        # Event._run_callbacks in lockstep.
+        # by far.  Keep it, Process._resume and Event._run_callbacks in
+        # lockstep.
         queue = self._queue
         pop = heappop
         pool = self._timeout_pool
-        count = 0
+        targets = self._run_targets
         sanitize = self._sanitize
+        count = 0
+        target: Optional[Event] = None
+        limit = _INF
+        if isinstance(until, Event):
+            target = until
+        elif until is not None:
+            limit = float(until)
+            if limit < self._now:
+                raise SimulationError("run(until=...) is in the past")
         if sanitize:
             # Lazy import: the analysis package only loads when sanitizing.
             from ..analysis.sanitize import install_rng_trap, uninstall_rng_trap
-            last_when = float("-inf")
-            cohort = 0
-        if isinstance(until, Event):
-            target = until
-            targets = self._run_targets
-            targets.append(target)
-            if sanitize:
-                install_rng_trap()
-            try:
-                while target._state != PROCESSED:
-                    if not queue:
-                        if target._state == POOLED:  # defensive: the
-                            # _run_targets exemption should make this
-                            # unreachable via the public API
-                            raise SimulationError(
-                                "run(until=...) target is a recycled bare "
-                                "Timeout; bare timeouts are single-waiter "
-                                "(see repro.sim.events docstring)"
-                            )
-                        raise SimulationError(
-                            "simulation ran out of events before the awaited "
-                            "event triggered (deadlock?)"
-                        )
-                    when, _seq, event = pop(queue)
-                    self._now = when
-                    count += 1
-                    if sanitize:
-                        if when == last_when:
-                            cohort += 1
-                            if cohort == 2:
-                                self._tie_cohorts += 1
-                            if cohort > self._tie_max:
-                                self._tie_max = cohort
-                        else:
-                            last_when = when
-                            cohort = 1
-                        if event._exception is not None \
-                                and event._waiter is None \
-                                and not event.callbacks \
-                                and event is not target:
-                            # Unhandled failure: nothing will ever observe
-                            # this exception — surface it instead of
-                            # letting it rot on the event.
-                            raise event._exception
-                    event._state = PROCESSED
-                    waiter = event._waiter
-                    if waiter is not None:
-                        event._waiter = None
-                        self._active_process = waiter
-                        try:
-                            if event._exception is None:
-                                result = waiter._send(event._value)
-                            else:
-                                result = waiter._generator.throw(
-                                    event._exception)
-                        except BaseException as exc:
-                            waiter._finish(exc)
-                        else:
-                            if type(event) is Timeout \
-                                    and event._value is None \
-                                    and not event.callbacks \
-                                    and event not in targets:
-                                # (run targets — this loop's and any
-                                # outer run()'s — must stay PROCESSED so
-                                # their loops can observe completion)
-                                event._state = POOLED
-                                if not sanitize:
-                                    if self._spare is None:
-                                        self._spare = event
-                                    else:
-                                        pool.append(event)
-                            try:
-                                rstate = result._state
-                            except AttributeError:
-                                waiter._yield_error(result)
-                            waiter._target = result
-                            if rstate == PROCESSED:
-                                waiter._resume(result)
-                            elif rstate == POOLED:
-                                raise SimulationError(
-                                    "yielded a recycled bare Timeout; bare "
-                                    "timeouts are single-waiter (see "
-                                    "repro.sim.events docstring)"
-                                )
-                            else:
-                                if result._waiter is None \
-                                        and not result.callbacks:
-                                    result._waiter = waiter
-                                else:
-                                    result.callbacks.append(waiter._resume_cb)
-                                self._active_process = None
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for callback in callbacks:
-                            callback(event)
-            finally:
-                targets.pop()
-                self._events_processed += count
-                _TOTAL_EVENTS[0] += count
-                if sanitize:
-                    uninstall_rng_trap()
-            return target.value
-
-        limit = _INF if until is None else float(until)
-        targets = self._run_targets
-        if limit < self._now:
-            raise SimulationError("run(until=...) is in the past")
-        if sanitize:
+            last_when = self._last_when
+            cohort = self._tie_run
             install_rng_trap()
+        if target is not None:
+            targets.append(target)
         try:
-            while queue and queue[0][0] <= limit:
+            while True:
+                if target is None:
+                    if not queue or queue[0][0] > limit:
+                        break
+                elif target._state == PROCESSED:
+                    break
+                elif not queue:
+                    if target._state == POOLED:  # defensive: the
+                        # _run_targets exemption should make this
+                        # unreachable via the public API
+                        raise SimulationError(
+                            "run(until=...) target is a recycled bare "
+                            "Timeout; bare timeouts are single-waiter "
+                            "(see repro.sim.events docstring)"
+                        )
+                    raise SimulationError(
+                        "simulation ran out of events before the awaited "
+                        "event triggered (deadlock?)"
+                    )
                 when, _seq, event = pop(queue)
                 self._now = when
                 count += 1
                 if sanitize:
+                    if len(queue) >= self._max_depth:
+                        self._max_depth = len(queue) + 1
                     if when == last_when:
                         cohort += 1
                         if cohort == 2:
@@ -940,11 +323,14 @@ class Environment:
                     else:
                         last_when = when
                         cohort = 1
+                        self._distinct_times += 1
                     if event._exception is not None \
                             and event._waiter is None \
                             and not event.callbacks \
                             and event not in targets:
-                        # Unhandled failure (see the event-target loop).
+                        # Unhandled failure: nothing will ever observe
+                        # this exception — surface it instead of
+                        # letting it rot on the event.
                         raise event._exception
                 event._state = PROCESSED
                 waiter = event._waiter
@@ -962,6 +348,9 @@ class Environment:
                         if type(event) is Timeout and event._value is None \
                                 and not event.callbacks \
                                 and event not in targets:
+                            # (run targets — this loop's and any outer
+                            # run()'s — must stay PROCESSED so their
+                            # loops can observe completion)
                             event._state = POOLED
                             if not sanitize:
                                 if self._spare is None:
@@ -994,10 +383,16 @@ class Environment:
                     for callback in callbacks:
                         callback(event)
         finally:
+            if target is not None:
+                targets.pop()
             self._events_processed += count
             _TOTAL_EVENTS[0] += count
             if sanitize:
+                self._last_when = last_when
+                self._tie_run = cohort
                 uninstall_rng_trap()
+        if target is not None:
+            return target.value
         if until is not None:
             self._now = limit
         return None
@@ -1005,6 +400,5 @@ class Environment:
 
 __all__ = [
     "Environment",
-    "KERNELS",
     "total_events_processed",
 ]

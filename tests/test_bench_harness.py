@@ -66,6 +66,58 @@ class TestEmit:
         assert meta["events_per_second"] >= 0
 
 
+class TestEmitLeavesUnchangedArtifactsAlone:
+    """Only a moved simulated number may dirty ``bench_results/``."""
+
+    STALE_STAMP = "2000-01-01 00:00:00"
+
+    @pytest.fixture
+    def artifact(self, tmp_path, monkeypatch):
+        import repro.bench.harness as harness
+
+        monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path)
+        # kernel_events counts from the previous artifact: emit one to
+        # close whatever window earlier tests left open.
+        harness.emit("Flush", ["h"], [[0]], "flush")
+        harness.emit("Title", ["h", "g"], [(1, 0.1), (2, 2.5e-7)], "probe")
+        path = tmp_path / "probe.json"
+        payload = json.loads(path.read_text())
+        payload["generated_at"] = self.STALE_STAMP
+        path.write_text(json.dumps(payload))
+        return harness, path
+
+    def _stamp(self, path):
+        return json.loads(path.read_text())["generated_at"]
+
+    def test_identical_table_and_event_count_not_rewritten(self, artifact):
+        harness, path = artifact
+        harness.emit("Title", ["h", "g"], [(1, 0.1), (2, 2.5e-7)], "probe")
+        assert self._stamp(path) == self.STALE_STAMP
+
+    def test_changed_row_rewritten(self, artifact):
+        harness, path = artifact
+        harness.emit("Title", ["h", "g"], [(1, 0.1), (2, 2.6e-7)], "probe")
+        assert self._stamp(path) != self.STALE_STAMP
+        assert json.loads(path.read_text())["rows"][1] == [2, 2.6e-7]
+
+    def test_changed_event_count_rewritten(self, artifact):
+        from repro.sim import Environment
+
+        harness, path = artifact
+        env = Environment()
+        env.timeout(1.0)
+        env.run()
+        harness.emit("Title", ["h", "g"], [(1, 0.1), (2, 2.5e-7)], "probe")
+        assert self._stamp(path) != self.STALE_STAMP
+        assert json.loads(path.read_text())["metadata"]["kernel_events"] == 1
+
+    def test_corrupt_file_rewritten(self, artifact):
+        harness, path = artifact
+        path.write_text("{not json")
+        harness.emit("Title", ["h", "g"], [(1, 0.1), (2, 2.5e-7)], "probe")
+        assert json.loads(path.read_text())["title"] == "Title"
+
+
 class TestContext:
     def test_memoized_per_key(self):
         a = get_context("freebase", scale=0.05, seed=3)

@@ -1,26 +1,33 @@
-"""Property-based scheduler-equivalence suite: heap vs calendar kernels.
+"""Property-based equivalence suite: the inlined ``run()`` loop vs ``step()``.
 
-The calendar-queue/cohort kernel must dispatch *exactly* the heap
-kernel's ``(time, sequence)`` order (ROADMAP invariant 2).  These tests
-generate random event programs — mixed delays, same-instant ties,
-zero-delay cascades, failures/cancellations, AllOf/AnyOf fan-ins — and
-replay each program once per kernel.  The program records its own resume
-trace (process id, step, simulated time, outcome), so equivalence needs
-no kernel instrumentation: identical traces means identical dispatch
-order wherever order is observable.
+``Environment.run`` inlines the first iteration of ``Process._resume``,
+recycles bare timeouts through a one-slot fast lane and folds its three
+stop conditions into one loop; ``Environment.step`` does none of that —
+it pops one event and calls plain ``Event._run_callbacks``.  Both must
+dispatch *exactly* the same ``(time, sequence)`` order (ROADMAP
+invariant 2).  These tests generate random event programs — mixed
+delays, same-instant ties, zero-delay cascades, failures/cancellations,
+AllOf/AnyOf fan-ins — and replay each program once through ``run()`` and
+once through a reference loop built only from ``peek()``/``step()``.
+The program records its own resume trace (process id, step, simulated
+time, outcome), so equivalence needs no kernel instrumentation:
+identical traces means identical dispatch order wherever order is
+observable.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, SimulationError
+from repro.sim import Environment
 
 # ---------------------------------------------------------------------------
 # Random event programs
 #
-# A program is data (picked by hypothesis), then executed identically on
-# each kernel:
+# A program is data (picked by hypothesis), then executed identically by
+# each driver:
 #   * `triggers[eid] = (delay, fail?)` — one driver process per shared
 #     event triggers it at an absolute time (ties arise from equal
 #     delays; fail? exercises exception propagation / cancellation).
@@ -63,10 +70,32 @@ _PROGRAMS = st.fixed_dictionaries({
 })
 
 
-def _run_program(program, kernel, until=None):
-    """Execute ``program`` on ``kernel``; return its observable trace."""
-    env = Environment(kernel=kernel)
-    trace = []
+#: ``until`` forms: exhaustion, a time limit, or "first waiter finished".
+_FIRST_WAITER = "first-waiter"
+
+
+def _drive_run(env, until):
+    """The production loop."""
+    env.run(until=until)
+
+
+def _drive_step(env, until):
+    """Reference loop: ``run()`` re-expressed with ``peek``/``step`` only."""
+    if until is None or isinstance(until, float):
+        limit = math.inf if until is None else until
+        # (peek() answers inf for an empty queue)
+        while env.peek() < math.inf and env.peek() <= limit:
+            env.step()
+    else:
+        while not until.processed:
+            env.step()
+
+
+def _run_program(program, drive, until=None, sanitize=False, trace=None):
+    """Execute ``program`` through ``drive``; return its observable trace."""
+    env = Environment(sanitize=sanitize)
+    if trace is None:
+        trace = []
     shared = [env.event() for _ in range(_N_EVENTS)]
 
     def driver(eid, delay, fail):
@@ -104,175 +133,61 @@ def _run_program(program, kernel, until=None):
 
     for eid, (delay, fail) in enumerate(program["triggers"]):
         env.process(driver(eid, delay, fail))
-    for pid, steps in enumerate(program["procs"]):
-        env.process(waiter(pid, steps))
+    waiters = [env.process(waiter(pid, steps))
+               for pid, steps in enumerate(program["procs"])]
 
-    env.run(until=until)
-    trace.append(("end", env.now, env.events_processed))
+    drive(env, waiters[0] if until == _FIRST_WAITER else until)
+    # (not env.now: after a time-limited run() the clock sits on the
+    # limit, after the step loop on the last dispatched event)
+    trace.append(("end", env.peek(), env.events_processed))
     return trace
 
 
-def _native_available() -> bool:
-    return Environment(kernel="native").kernel == "native"
-
-
-class TestKernelEquivalence:
+class TestRunMatchesStepLoop:
     @settings(max_examples=200, deadline=None)
     @given(program=_PROGRAMS)
     def test_trace_identical_run_to_exhaustion(self, program):
-        assert _run_program(program, "heap") \
-            == _run_program(program, "calendar")
+        assert _run_program(program, _drive_run) \
+            == _run_program(program, _drive_step)
 
     @settings(max_examples=100, deadline=None)
     @given(program=_PROGRAMS, limit=st.sampled_from([0.0, 0.5, 1.0, 2.5]))
     def test_trace_identical_run_until_time(self, program, limit):
-        assert _run_program(program, "heap", until=limit) \
-            == _run_program(program, "calendar", until=limit)
+        assert _run_program(program, _drive_run, until=limit) \
+            == _run_program(program, _drive_step, until=limit)
 
     @settings(max_examples=100, deadline=None)
-    @given(program=_PROGRAMS, limit=st.sampled_from([None, 0.5, 2.5]))
-    def test_native_trace_identical(self, program, limit):
-        if not _native_available():
-            pytest.skip("native kernel unavailable on this machine")
-        assert _run_program(program, "heap", until=limit) \
-            == _run_program(program, "native", until=limit)
+    @given(program=_PROGRAMS)
+    def test_trace_identical_run_until_event(self, program):
+        assert _run_program(program, _drive_run, until=_FIRST_WAITER) \
+            == _run_program(program, _drive_step, until=_FIRST_WAITER)
 
     @settings(max_examples=100, deadline=None)
     @given(program=_PROGRAMS)
     def test_trace_identical_under_sanitize(self, program):
         # Sanitize retires pooled timeouts and tallies ties but must not
-        # change results; failures parked on shared events are always
-        # consumed by a driver trace entry, so no unhandled-failure trap
-        # fires... unless a generated program genuinely orphans a failed
-        # event — then *both* kernels must raise it identically.
-        def run(kernel):
-            env_trace = None
-            try:
-                env_trace = _sanitized_trace(program, kernel)
-                return ("ok", env_trace)
-            except RuntimeError as exc:
-                return ("raised", str(exc))
-
-        assert run("heap") == run("calendar")
-
-
-def _sanitized_trace(program, kernel):
-    # Single-run variant of _run_program with sanitize=True.
-    env = Environment(kernel=kernel, sanitize=True)
-    trace = []
-    shared = [env.event() for _ in range(_N_EVENTS)]
-
-    def driver(eid, delay, fail):
-        yield env.timeout(delay)
-        trace.append(("drive", eid, env.now))
-        if fail:
-            shared[eid].fail(RuntimeError(f"ev{eid}"))
+        # change results.  The one thing run() adds over step() is the
+        # unhandled-failure trap: a generated program that orphans a
+        # failed shared event makes run() re-raise it — then everything
+        # dispatched before the trap must still match the reference.
+        reference = _run_program(program, _drive_step, sanitize=True)
+        trace = []
+        try:
+            _run_program(program, _drive_run, sanitize=True, trace=trace)
+        except RuntimeError as exc:
+            failing = {f"ev{eid}" for eid, (_delay, fail)
+                       in enumerate(program["triggers"]) if fail}
+            assert str(exc) in failing
+            assert trace == reference[:len(trace)]
         else:
-            shared[eid].succeed(("ok", eid))
-
-    def waiter(pid, steps):
-        for idx, step in enumerate(steps):
-            kind = step[0]
-            try:
-                if kind == "t":
-                    yield env.timeout(step[1])
-                    outcome = "t"
-                elif kind == "tv":
-                    outcome = yield env.timeout(step[1], value=("v", idx))
-                elif kind == "w":
-                    outcome = yield shared[step[1]]
-                elif kind == "all":
-                    outcome = yield env.all_of([shared[e] for e in step[1]])
-                elif kind == "any":
-                    outcome = yield env.any_of([shared[e] for e in step[1]])
-                else:
-                    trace.append((pid, idx, env.now, "stop"))
-                    return
-            except RuntimeError as exc:
-                outcome = ("caught", str(exc))
-            trace.append((pid, idx, env.now, outcome))
-
-    for eid, (delay, fail) in enumerate(program["triggers"]):
-        env.process(driver(eid, delay, fail))
-    for pid, steps in enumerate(program["procs"]):
-        env.process(waiter(pid, steps))
-    env.run()
-    trace.append(("end", env.now, env.events_processed))
-    return trace
+            assert trace == reference
 
 
-class TestCalendarInternals:
-    """Directed edge cases for the calendar structures themselves."""
-
-    def test_far_future_overflow_and_window_reseed(self):
-        # Deltas establish a small bucket width, then a far-future event
-        # forces the overflow path and several window re-seeds.
-        env = Environment(kernel="calendar")
-        log = []
-
-        def ticker():
-            for _ in range(2000):
-                yield env.timeout(1.0)
-
-        def far():
-            yield env.timeout(1700.5)
-            log.append(env.now)
-
-        env.process(ticker())
-        env.process(far())
-        env.run()
-        assert log == [1700.5]
-        assert env.now == 2000.0
-
-    def test_interleaved_widths_and_ties(self):
-        env_h = Environment(kernel="heap")
-        env_c = Environment(kernel="calendar")
-
-        def program(env, out):
-            def proc(scale):
-                for i in range(300):
-                    yield env.timeout((i % 7) * scale)
-                    out.append((scale, env.now))
-            for scale in (0.0, 0.25, 1.0, 30.0):
-                env.process(proc(scale))
-
-        out_h, out_c = [], []
-        program(env_h, out_h)
-        program(env_c, out_c)
-        env_h.run()
-        env_c.run()
-        assert out_h == out_c
-        assert env_h.events_processed == env_c.events_processed
-
-    def test_insert_behind_cursor_is_not_lost(self):
-        # A long-idle environment whose window was seeded far ahead must
-        # still serve newly scheduled near-term events first.
-        env = Environment(kernel="calendar")
-        order = []
-
-        def late_sleeper():
-            yield env.timeout(100.0)
-            order.append(("late", env.now))
-
-        def pacer():
-            for _ in range(10):
-                yield env.timeout(3.0)
-
-        env.process(late_sleeper())
-        env.process(pacer())
-        env.run(until=40.0)
-        # Window is now established around the t=100 overflow event.
-
-        def sprinter():
-            yield env.timeout(1.0)
-            order.append(("sprint", env.now))
-
-        env.process(sprinter())
-        env.run()
-        assert order == [("sprint", 41.0), ("late", 100.0)]
+class TestRunLoopEdges:
+    """Directed cases for the time-limit stop test (more in test_sim_kernel)."""
 
     def test_peek_does_not_dispatch_or_advance(self):
-        env = Environment(kernel="calendar")
+        env = Environment()
         fired = []
 
         def proc():
@@ -285,7 +200,7 @@ class TestCalendarInternals:
         assert env.now == 1.0
         assert not fired
         # An event scheduled *after* the peek, at an earlier time than
-        # the peeked cohort, still dispatches first.
+        # the peeked one, still dispatches first.
         order = []
 
         def early():
@@ -303,7 +218,7 @@ class TestCalendarInternals:
         assert fired == [2.0]
 
     def test_run_until_limit_does_not_stage_past_limit(self):
-        env = Environment(kernel="calendar")
+        env = Environment()
         order = []
 
         def sleeper(tag, delay):
@@ -317,17 +232,11 @@ class TestCalendarInternals:
         env.run()
         assert order == [("near", 6.0), ("far", 10.0)]
 
-    def test_lifo_tie_break_forces_heap_kernel(self):
-        env = Environment(tie_break="lifo", kernel="calendar")
+    def test_kernel_name_is_a_constant(self):
+        # perf/launch.py records it next to every ledger row.
+        env = Environment()
         assert env.kernel == "heap"
-        assert env.kernel_fallback_reason == "tie_break='lifo' requires heap"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SimulationError):
-            Environment(kernel="quantum")
-
-    def test_kernel_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "heap")
-        assert Environment().kernel == "heap"
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert Environment().kernel == "calendar"
+        with pytest.raises(AttributeError):
+            env.kernel = "other"
+        with pytest.raises(TypeError):
+            Environment(kernel="heap")

@@ -371,6 +371,30 @@ class TestTieTallies:
         report = env.sanitize_report()
         assert report["tie_cohorts_multi"] == 0
 
+    def test_queue_depth_and_distinct_times(self):
+        env = Environment(sanitize=True)
+
+        def ticker(env, delay):
+            yield env.timeout(delay)
+
+        for delay in (1.0, 1.0, 2.0):
+            env.process(ticker(env, delay))
+        env.run(until=1.5)
+        env.run()  # the tallies carry across run() calls
+        report = env.sanitize_report()
+        # t=0: three Initialize events pending at once, nothing deeper.
+        assert report["max_queue_depth"] == 3
+        assert report["distinct_times"] == 3  # t = 0, 1, 2
+        assert env.events_processed == 9
+
+    def test_traffic_shape_tallies_free_when_off(self):
+        env = Environment()
+        env.timeout(1.0)
+        env.run()
+        report = env.sanitize_report()
+        assert report["max_queue_depth"] == 0
+        assert report["distinct_times"] == 0
+
     def test_env_var_arms_sanitizer(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert Environment().sanitize is True
@@ -379,6 +403,39 @@ class TestTieTallies:
         # Explicit argument beats the environment.
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert Environment(sanitize=False).sanitize is False
+
+
+class TestTrafficShape:
+    """The traffic shape the single binary-heap scheduler rests on.
+
+    A heap costs O(log pending) per event and gains nothing from
+    same-instant batching; that is the right trade only while few events
+    are pending and few share a timestamp. If a later change (e.g.
+    frontier-batched execution) makes cohorts deep or the queue long,
+    this fails and the scheduler choice is due for re-measurement on the
+    perf ledger.
+    """
+
+    def test_smoke_operator_mix_is_shallow_and_sparse(self):
+        from dataclasses import replace
+
+        from repro.bench.adaptive import SUBMIT_BATCH
+        from repro.bench.experiments import scheme_config
+        from repro.bench.harness import get_context
+        from repro.bench.operator_mix import operator_mix_workload
+
+        ctx = get_context("webgraph", scale=0.05)
+        config = replace(scheme_config("adaptive"),
+                         submit_batch=SUBMIT_BATCH)
+        with GraphService.open(ctx.graph, config, assets=ctx.assets,
+                               sanitize=True) as service:
+            with service.session() as session:
+                session.stream(operator_mix_workload(ctx))
+                session.report()
+            shape = service.env.sanitize_report()
+            events = service.env.events_processed
+        assert events / shape["distinct_times"] < 4
+        assert shape["max_queue_depth"] < 64
 
 
 class TestSanitizeParity:
