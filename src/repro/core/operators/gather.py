@@ -18,7 +18,7 @@ Hot-path design
 ---------------
 
 The per-server round trip used to be a generator chain (request-transfer
-timeout, a spawned ``serve_process``, response-transfer timeout) nested in
+timeout, a spawned server process, response-transfer timeout) nested in
 its own :class:`~repro.sim.events.Process`. :class:`_ServerFetch` fuses it
 into a callback chain over precomputed latencies: request arrival →
 pipeline grant → service end (release) → response arrival → completion.
@@ -61,9 +61,9 @@ class _ServerFetch(Event):
     payload has fully arrived (or fails with
     :class:`StorageServerDown`), so a gather wave allocates one object
     per touched server instead of a fetch-plus-event pair. The chain is
-    driven entirely by event callbacks on the simulation kernel. Keep
-    the stage order in lockstep with ``StorageServer.serve_process``,
-    which is the generator twin used by the storage-tier tests.
+    driven entirely by event callbacks on the simulation kernel; its
+    queueing, liveness check and counters mirror
+    ``StorageServer.multiget_process`` without touching the store.
     """
 
     __slots__ = ("processor", "server", "num_keys", "nbytes", "request")
@@ -164,11 +164,9 @@ def gather_nodes(processor: "QueryProcessor", nodes: np.ndarray,
             # heat tracking on but no directory exceptions stay
             # bit-identical to runs without the subsystem.
             tier.heat.touch(missed, env.now)
-        directory = tier.directory
-        overlay = (
-            directory.by_cache_key
-            if directory is not None and directory else None
-        )
+        # Directory exceptions, or None when there are none (pure hash
+        # placement) — plain dict truthiness, this is the hot path.
+        overlay = tier.directory.by_cache_key or None
         if missed.size == 1:
             # Walk steps and point probes miss one record at a time; skip
             # the per-server grouping machinery for the single fetch.

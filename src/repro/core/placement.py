@@ -20,16 +20,14 @@ periodic simulation process inside a live :class:`~repro.core.service.GraphServi
      copied back home first — so the directory stays a small set of
      true exceptions;
 
-2. the copies are executed *in simulated time* through the same storage
-   write pipelines queries fetch from (the PR 5 write path), so
-   rebalancing traffic queues behind — and delays — live queries. That
-   contention is the cost the fig_repartition ablation makes visible:
-   an over-aggressive configuration churns records faster than the
-   queries it helps;
-
-3. the directory flips at the simulated instant a move's copies have all
-   landed — reads routed before the flip still find the old copy (it is
-   deleted only after the flip), reads after it see the new placement.
+2. the round's moves go to the tier's record mover
+   (:meth:`~repro.storage.tier.StorageTier.move_process`): copies are
+   written *in simulated time* through the same storage pipelines queries
+   fetch from, so rebalancing traffic queues behind — and delays — live
+   queries (the cost the fig_repartition ablation makes visible: an
+   over-aggressive configuration churns records faster than the queries
+   it helps), and the directory flips at the instant a move's copies
+   have all landed.
 
 Everything is deterministic: heat is a pure function of served traffic,
 the load proxy is served-request deltas, ties break by server id, and the
@@ -39,17 +37,12 @@ plan iterates in heat order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
-from ..storage.placement import (
-    HeatTracker,
-    PlacementDirectory,
-    heat_by_server,
-)
-from ..storage.records import record_for_node
-from ..storage.server import StorageServerDown
+from ..storage.placement import HeatTracker, heat_by_server
+from ..storage.tier import HOME, Move
 
 if TYPE_CHECKING:  # pragma: no cover
     from .service import GraphService
@@ -88,24 +81,6 @@ class PlacementConfig:
     release_fraction: float = 0.25
 
 
-class _Move:
-    """One planned placement change, executed as timed copies."""
-
-    __slots__ = ("kind", "key", "cache_key", "home", "size", "targets",
-                 "new_sids")
-
-    def __init__(self, kind: str, key: int, cache_key: int, home: int,
-                 size: int, targets: Tuple[int, ...],
-                 new_sids: Tuple[int, ...]) -> None:
-        self.kind = kind  # "migrate" | "replicate" | "restore" | "release"
-        self.key = key
-        self.cache_key = cache_key
-        self.home = home
-        self.size = size
-        self.targets = targets  # replica set after the move
-        self.new_sids = new_sids  # servers that need a fresh copy written
-
-
 class PlacementManager:
     """Periodic planner/executor of hot-record migrations & replications."""
 
@@ -117,8 +92,8 @@ class PlacementManager:
         self.heat = HeatTracker(
             half_life_s=config.half_life_s, size=service.assets.num_nodes
         )
-        self.directory = PlacementDirectory()
-        self.tier.attach_placement(self.directory, self.heat)
+        self.tier.heat = self.heat
+        self.directory = self.tier.directory
         self._last_served = np.zeros(self.tier.num_servers, dtype=np.float64)
         self._process = None
         # Cumulative counters (itemized in WorkloadReport summaries).
@@ -158,7 +133,7 @@ class PlacementManager:
         self._last_served = served
         return delta
 
-    def plan(self) -> List[_Move]:
+    def plan(self) -> List[Move]:
         """One bounded round of moves, hottest records first.
 
         Plans against the *current* cluster epoch: departed (dead)
@@ -182,7 +157,7 @@ class PlacementManager:
             # never place a copy there, and a dead current holder always
             # clears the migrate hysteresis (move the record off it).
             load = np.where(np.asarray(alive), load, np.inf)
-        moves: List[_Move] = []
+        moves: List[Move] = []
 
         hot_idx, heats = self.heat.top_k(cfg.top_k, now, cfg.heat_threshold)
         for idx, heat in zip(hot_idx.tolist(), heats.tolist(), strict=True):
@@ -205,9 +180,9 @@ class PlacementManager:
                     share = heat / (len(current) + len(new))
                     for sid in new:
                         load[sid] += share
-                    moves.append(_Move(
+                    moves.append(Move(
                         "replicate", key, idx, home, size,
-                        tuple(current) + new, new,
+                        new, tuple(current) + new,
                     ))
             elif len(current) == 1:
                 holder = current[0]
@@ -221,7 +196,7 @@ class PlacementManager:
                     budget -= size
                     load[best] += heat
                     load[holder] -= min(heat, load[holder])
-                    moves.append(_Move(
+                    moves.append(Move(
                         "migrate", key, idx, home, size, (best,), (best,),
                     ))
 
@@ -240,83 +215,41 @@ class PlacementManager:
                 size = int(sizes[entry.cache_key])
                 if entry.home in entry.replicas:
                     # Extra copies only: dropping them costs no write.
-                    moves.append(_Move(
+                    moves.append(Move(
                         "release", entry.key, entry.cache_key, entry.home,
-                        size, (entry.home,), (),
+                        size, (), HOME,
                     ))
                 elif budget >= size:
                     # Migrated away: copy back home, then drop the entry.
                     budget -= size
-                    moves.append(_Move(
+                    moves.append(Move(
                         "restore", entry.key, entry.cache_key, entry.home,
-                        size, (entry.home,), (entry.home,),
+                        size, (entry.home,), HOME,
                     ))
         return moves
 
     # -- execution ------------------------------------------------------------
-    def _execute(self, moves: List[_Move]):
-        """Write the moves' copies through the storage pipelines (timed),
-        then flip the directory at the landing instant."""
-        service = self.service
-        materialize = service.config.materialize_storage
-        network = service.config.costs.network
-        graph = service.assets.graph
-
-        legs: Dict[int, List[Tuple[int, Optional[bytes]]]] = {}
-        leg_bytes: Dict[int, int] = {}
+    def _execute(self, moves: List[Move]):
+        """Run the moves through the tier's record mover, then count what
+        landed (a move whose target died mid-copy is dropped; the next
+        round re-plans it if the record is still hot)."""
+        yield from self.tier.move_process(
+            moves, self.service.config.costs.network
+        )
         for move in moves:
-            if not move.new_sids:
-                continue
-            payload = (
-                record_for_node(graph, move.key).encode()
-                if materialize else None
-            )
-            for sid in move.new_sids:
-                legs.setdefault(sid, []).append((move.key, payload))
-                leg_bytes[sid] = leg_bytes.get(sid, 0) + move.size
-        failed: set = set()
-        pending = [
-            (sid, self.env.process(self.tier._server_write_process(
-                self.tier.servers[sid], entries, leg_bytes[sid], network,
-            )))
-            for sid, entries in legs.items()
-        ]
-        for sid, process in pending:
-            try:
-                yield process
-            except StorageServerDown:
-                failed.add(sid)
-
-        # The copies that reached live servers have landed *now*; flip the
-        # directory at this simulated instant and only then delete stale
-        # copies, so no read ever routes to a server lacking the record.
-        for move in moves:
-            if any(sid in failed for sid in move.new_sids):
+            if not move.landed:
                 self.failed_moves += 1
                 continue
-            copied = move.size * len(move.new_sids)
-            self.migration_bytes += copied
-            self.migration_records += len(move.new_sids)
-            previous = self.tier.replica_sids(move.key)
-            if move.kind in ("migrate", "replicate"):
-                self.directory.place(
-                    move.key, move.cache_key, move.home, move.targets
-                )
-                if move.kind == "migrate":
-                    self.migrations += 1
-                else:
-                    self.replications += 1
-            else:  # release / restore: back to the hash home
-                self.directory.drop(move.key)
-                if move.kind == "restore":
-                    self.restores += 1
-                else:
-                    self.releases += 1
-            if materialize:
-                for sid in sorted(set(previous) - set(move.targets)):
-                    store = self.tier.servers[sid].store
-                    if move.key in store:
-                        store.delete(move.key)
+            self.migration_records += len(move.write_to)
+            self.migration_bytes += move.size * len(move.write_to)
+            if move.kind == "migrate":
+                self.migrations += 1
+            elif move.kind == "replicate":
+                self.replications += 1
+            elif move.kind == "restore":
+                self.restores += 1
+            else:
+                self.releases += 1
 
     # -- observability ---------------------------------------------------------
     def stats(self) -> Dict[str, object]:

@@ -194,7 +194,7 @@ class GraphService:
         if self.config.speed_profiles is not None:
             # Heterogeneous storage hardware: scale each server's service
             # model in place (speed 2.0 = every cost halved). Processors
-            # get theirs via _processor_costs below.
+            # get theirs via build_processor below.
             for server in self.tier.servers:
                 speed = self.config.speed_profiles.storage_speed(
                     server.server_id
@@ -203,18 +203,8 @@ class GraphService:
                     server.service = server.service.scaled(speed)
         if self.config.materialize_storage:
             self.tier.load_graph(self.assets.graph)
-        use_cache = self.config.routing != "no_cache"
         self.processors: List[QueryProcessor] = [
-            QueryProcessor(
-                self.env,
-                processor_id=i,
-                tier=self.tier,
-                assets=self.assets,
-                costs=self._processor_costs(i),
-                cache_capacity_bytes=self.config.cache_capacity_bytes,
-                cache_policy=self.config.cache_policy,
-                use_cache=use_cache,
-            )
+            self.build_processor(i)
             for i in range(self.config.num_processors)
         ]
         self.strategy = self._build_strategy(self.config)
@@ -226,31 +216,46 @@ class GraphService:
         self.updates = LiveUpdateManager(self, self._stale)
         # Dynamic placement: heat tracking + periodic migration/replication.
         # Constructed (and its periodic process started) only when the
-        # config opts in — a None config leaves the tier's directory/heat
-        # hooks None, i.e. the exact pre-placement behaviour.
+        # config opts in — a None config leaves the tier's directory empty
+        # and its heat hook None, i.e. the exact pre-placement behaviour.
         self.placement: Optional[PlacementManager] = None
         if self.config.placement is not None:
             self.placement = PlacementManager(self, self.config.placement)
             self.placement.start()
         # Elastic topology: membership epochs, failover + repair, chaos
-        # schedules. Built after placement so it can share the directory;
-        # an attached-but-idle topology is inert (the parity tests pin
-        # bit-identical replay against a service without one).
+        # schedules. An attached-but-idle topology is inert (the parity
+        # tests pin bit-identical replay against a service without one).
         self.topology: Optional[ClusterTopology] = None
         if self.config.topology is not None:
             self.topology = ClusterTopology(self, self.config.topology)
         self._active_session: Optional["QuerySession"] = None
         self._closed = False
 
-    def _processor_costs(self, processor_id: int) -> CostModel:
-        """Per-processor cost model under heterogeneous speed profiles."""
+    def build_processor(
+        self, processor_id: int, speed: Optional[float] = None
+    ) -> QueryProcessor:
+        """The one :class:`QueryProcessor` factory — founders here, joiners
+        via :meth:`ClusterTopology.add_processor` — so a joiner cannot
+        drift from the founders. ``speed`` overrides the config's
+        :class:`~repro.costs.SpeedProfiles` entry for the id (1.0 =
+        baseline hardware). The worker is built cold and not yet started.
+        """
         cfg = self.config
-        if cfg.speed_profiles is None:
-            return cfg.costs
-        speed = cfg.speed_profiles.processor_speed(processor_id)
-        if speed == 1.0:
-            return cfg.costs
-        return replace(cfg.costs, compute=cfg.costs.compute.scaled(speed))
+        if speed is None and cfg.speed_profiles is not None:
+            speed = cfg.speed_profiles.processor_speed(processor_id)
+        costs = cfg.costs
+        if speed is not None and speed != 1.0:
+            costs = replace(costs, compute=costs.compute.scaled(speed))
+        return QueryProcessor(
+            self.env,
+            processor_id=processor_id,
+            tier=self.tier,
+            assets=self.assets,
+            costs=costs,
+            cache_capacity_bytes=cfg.cache_capacity_bytes,
+            cache_policy=cfg.cache_policy,
+            use_cache=cfg.routing != "no_cache",
+        )
 
     @classmethod
     def open(

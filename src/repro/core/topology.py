@@ -1,56 +1,48 @@
 """Elastic cluster topology: membership epochs, failover and repair.
 
 The paper's experiments fix the deployment before any query runs (§4.1:
-7 query processors, 4 storage servers) and every earlier layer of this
-reproduction inherited that static-membership assumption. Real decoupled
-deployments are elastic — the *point* of separating compute from storage
-(§2.3) is that either tier can grow, shrink or fail independently of the
-other. This module is the one place that knows how to change membership
-on a **live** service, and what every other layer must do when it does:
+7 query processors, 4 storage servers); the *point* of separating compute
+from storage (§2.3) is that either tier can grow, shrink or fail
+independently of the other. This module is the one place that changes
+membership on a **live** service:
 
-* **processing tier** — :meth:`ClusterTopology.add_processor` builds a
-  cold-cache worker (optionally on heterogeneous hardware via
-  :class:`~repro.costs.SpeedProfiles`), registers it with the router
-  (:meth:`~repro.core.router.Router.add_processor`) and drives the
-  routing strategy's :meth:`~repro.core.routing.base.RoutingStrategy.on_membership_change`
-  hook, which rebalances ownership tables with *bounded key movement* —
-  only entries whose owner actually changed move (hash slots shed to the
-  joiner, landmark groups re-pooled, embed means grown).
+* **processing tier** — :meth:`ClusterTopology.add_processor` joins a
+  cold-cache worker built by the service's own processor factory
+  (optionally on heterogeneous hardware via
+  :class:`~repro.costs.SpeedProfiles`), registers it with the router and
+  drives the routing strategy's
+  :meth:`~repro.core.routing.base.RoutingStrategy.on_membership_change`
+  hook, which rebalances ownership tables with *bounded key movement*.
   :meth:`remove_processor` is the mirror: the router re-queues the
   departed worker's backlog and the strategy stops routing to it.
 
 * **storage tier** — :meth:`fail_server` / :meth:`recover_server` flip a
-  server's liveness (recorded as downtime windows for the reports) and,
-  when ``failover`` is on, run a **repair loop** in simulated time:
-  records whose every copy is on dead servers are re-written from the
-  authoritative graph onto live servers through the same write pipelines
-  queries fetch from, with directory entries flipping at the landing
-  instant exactly like dynamic placement's migrations. Reads meanwhile
-  serve from any live replica (:func:`~repro.storage.placement.pick_read_replica`)
-  and in-flight queries that hit a dead server back off and retry
-  (:class:`~repro.core.processor.QueryProcessor` retry knobs, armed by
-  this layer). When the failed server returns, repair **fails back**:
-  fresh bytes are written home and the directory exceptions drop, so a
-  healed cluster converges to plain hash placement.
+  server's liveness and, when ``failover`` is on, run a **repair loop**
+  in simulated time. Each round is a *planner*: it decides which records
+  to re-write from the authoritative graph (suspect update casualties,
+  fail-backs to a recovered home, what live reads are blocked on, fully
+  lost records) within a byte budget, and hands the moves to the tier's
+  record mover (:meth:`~repro.storage.tier.StorageTier.move_process`).
+  Reads meanwhile serve from any live replica and in-flight queries that
+  hit a dead server back off and retry (retry knobs armed by this
+  layer). A healed cluster converges back to plain hash placement.
 
 Every membership operation bumps :attr:`ClusterTopology.epoch` and logs
 an event — the chaos benchmark's provenance trail. A topology that never
-changes is inert by construction: the directory it attaches is empty
-(every tier lookup guards on emptiness), the repair loop is never
-spawned, and an empty :meth:`schedule` starts no process, so a service
-with an idle topology replays **bit-identically** to one without.
+changes is inert by construction: the tier's directory stays empty, the
+repair loop is never spawned, and an empty :meth:`schedule` starts no
+process, so a service with an idle topology replays **bit-identically**
+to one without.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..storage.placement import PlacementDirectory
-from ..storage.records import record_for_node
-from ..storage.server import StorageServerDown
+from ..storage.tier import HOME, UNCHANGED, Move
 from .processor import QueryProcessor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -160,16 +152,9 @@ class ClusterTopology:
         self._demand: Dict[int, bool] = {}
         self.demand_repairs = 0
         self._repair_process = None
-        # The directory is the shared source of truth for "where does a
-        # key live right now"; reuse dynamic placement's when it exists so
-        # repair and placement never disagree, else attach a fresh (empty
-        # ⇒ zero-cost) one. The heat hook is left as-is: repair does not
-        # need it, placement owns it.
-        if service.placement is not None:
-            self.directory = service.placement.directory
-        else:
-            self.directory = PlacementDirectory()
-            self.tier.directory = self.directory
+        #: The tier's directory: the one source of truth for "where does
+        #: a key live right now", shared with dynamic placement.
+        self.directory = self.tier.directory
         for processor in service.processors:
             self._arm_retries(processor)
         if self.config.failover:
@@ -203,39 +188,17 @@ class ClusterTopology:
     def add_processor(self, speed: Optional[float] = None) -> int:
         """Join a cold-cache processor at the next dense id; returns the id.
 
-        ``speed`` overrides the config's
-        :class:`~repro.costs.SpeedProfiles` entry for the new id (1.0 =
-        baseline hardware). The routing strategy rebalances immediately —
+        ``speed`` is passed to :meth:`GraphService.build_processor`, the
+        founders' factory. The routing strategy rebalances immediately —
         bounded movement, so only the joiner's share of keys moves — but
         the joiner earns traffic with an empty cache: the warmup cost is
         visible in :meth:`warmup_stats` and in the chaos benchmark's
         post-join window.
         """
         service = self.service
-        cfg = service.config
         router = service.router
         pid = router.num_processors
-        if speed is None:
-            profiles = cfg.speed_profiles
-            speed = (
-                profiles.processor_speed(pid) if profiles is not None else 1.0
-            )
-        costs = cfg.costs
-        if speed != 1.0:
-            costs = replace(costs, compute=costs.compute.scaled(speed))
-        processor = QueryProcessor(
-            self.env,
-            processor_id=pid,
-            tier=self.tier,
-            assets=service.assets,
-            costs=costs,
-            cache_capacity_bytes=cfg.cache_capacity_bytes,
-            cache_policy=cfg.cache_policy,
-            use_cache=cfg.routing != "no_cache",
-        )
-        # Live updates re-point this array on every applied batch; a
-        # processor built later must start from the current one.
-        processor.owner_of = service.assets.owner_array(self.tier.num_servers)
+        processor = service.build_processor(pid, speed)
         self._arm_retries(processor)
         service.processors.append(processor)
         router.add_processor(processor)
@@ -335,29 +298,36 @@ class ClusterTopology:
         self._repair_process = None
 
     def _repair_round(self):
-        """One bounded round: prune dead replicas, re-replicate lost
-        records, fail back recovered homes. Returns whether any work was
-        done or remains (budget exhaustion keeps the loop alive)."""
-        service = self.service
+        """One bounded round: prune dead replicas, plan what to re-write
+        within the byte budget, run the moves through the tier's record
+        mover. Returns whether any work was done or remains."""
         tier = self.tier
-        cfg = self.config
+        directory = self.directory
         alive = [server.alive for server in tier.servers]
         live_sids = [sid for sid, up in enumerate(alive) if up]
         if not live_sids:
             return True  # nowhere to write yet; keep waiting for a recover
-        assets = service.assets
+        assets = self.service.assets
         sizes = assets.record_sizes
         node_ids = assets.node_ids
         owner_of = assets.owner_array(tier.num_servers)
-        copies = max(1, min(cfg.replication, len(live_sids)))
-        budget = cfg.repair_byte_budget
-        exhausted = False
+        copies = max(1, min(self.config.replication, len(live_sids)))
+        budget = self.config.repair_byte_budget
+        rewrites: List[Move] = []
+        failbacks: List[Move] = []
+        #: Re-replications in planning order (``_pick_targets`` rotates by
+        #: position); kind "demand" ones ride the priority wave.
+        plan: List[Move] = []
 
-        # (key, cache_key, home, targets) records to (re-)write.
-        plan: List[Tuple[int, int, int, Tuple[int, ...]]] = []
-        failbacks: List[Tuple[int, int, int]] = []
-        # (key, cache_key, live holders) suspect-update re-writes.
-        rewrites: List[Tuple[int, int, Tuple[int, ...]]] = []
+        def admit(cost: int) -> bool:
+            """Charge ``cost`` bytes to the round if they fit. The first
+            item of a round is always admitted (even over budget), so a
+            budget below one record still makes progress."""
+            nonlocal budget
+            if budget < cost and (rewrites or failbacks or plan):
+                return False
+            budget -= cost
+            return True
 
         # 0. Re-write suspect update casualties wherever they live now:
         # a tolerated write failure may have left a (now-recovered)
@@ -370,42 +340,41 @@ class ClusterTopology:
             if not holders:
                 continue  # still homeless; the lost-key pass covers it
             size = int(sizes[idx])
-            # The first item of a round is always admitted (even over
-            # budget) so a budget below one record still makes progress.
-            if budget < size * len(holders) and rewrites:
-                exhausted = True
+            if not admit(size * len(holders)):
                 break
-            budget -= size * len(holders)
-            rewrites.append((key, idx, holders))
+            rewrites.append(Move(
+                "rewrite", key, idx, int(owner_of[idx]), size, holders,
+                UNCHANGED,
+            ))
 
         # 1. Fail back repair-placed keys whose hash home returned.
         for key in sorted(self._failover_keys):
-            entry = self.directory.by_key.get(key)
+            entry = directory.by_key.get(key)
             if entry is None:
                 del self._failover_keys[key]  # released elsewhere meanwhile
                 continue
             if not alive[entry.home]:
                 continue
             size = int(sizes[entry.cache_key])
-            if budget < size and (rewrites or failbacks):
-                exhausted = True
+            if not admit(size):
                 break
-            budget -= size
-            failbacks.append((key, entry.cache_key, entry.home))
+            failbacks.append(Move(
+                "failback", key, entry.cache_key, entry.home, size,
+                (entry.home,), HOME,
+            ))
 
         # 2. Demand repairs: the cache keys live reads are blocked on
         # *right now* (fed by the gather path). Serviced before the
         # directory sweep and the linear scan — a dead server can hold
         # far more records than one outage's repair bandwidth, and
         # index-order repair would leave exactly the hot ones stalled.
-        planned_keys = {key for key, _c, _h in failbacks}
-        demand_planned: set = set()
+        planned_keys = {move.key for move in failbacks}
         for idx in list(self._demand):
             if idx >= len(node_ids):
                 del self._demand[idx]  # node vanished from the asset map
                 continue
             key = int(node_ids[idx])
-            entry = self.directory.by_key.get(key)
+            entry = directory.by_key.get(key)
             if entry is not None:
                 if any(alive[sid] for sid in entry.replicas):
                     del self._demand[idx]  # a live replica surfaced
@@ -420,37 +389,33 @@ class ClusterTopology:
                 del self._demand[idx]
                 continue
             size = int(sizes[idx])
-            if budget < size * copies and (rewrites or failbacks or plan):
-                exhausted = True  # key stays queued for the next round
-                break
-            budget -= size * copies
+            if not admit(size * copies):
+                break  # key stays queued for the next round
             del self._demand[idx]
             targets = self._pick_targets(live_sids, copies, len(plan))
-            plan.append((key, idx, home, targets))
+            plan.append(Move("demand", key, idx, home, size, targets, targets))
             planned_keys.add(key)
-            demand_planned.add(key)
             self.demand_repairs += 1
 
         # 3. Directory entries: prune dead replicas; fully-lost entries
         # get fresh copies (placement-made entries stay placement-owned
         # afterwards — only their liveness is restored here).
-        for entry in self.directory.entries():
-            live = tuple(sid for sid in entry.replicas if alive[sid])
-            if live:
+        for entry in directory.entries():
+            if any(alive[sid] for sid in entry.replicas):
                 for sid in entry.replicas:
                     if not alive[sid]:
-                        self.directory.drop_replica(entry.key, sid)
+                        directory.drop_replica(entry.key, sid)
                 continue
             if entry.key in planned_keys:
                 continue
             size = int(sizes[entry.cache_key])
-            want = max(0, copies)
-            if budget < size * want and (rewrites or failbacks or plan):
-                exhausted = True
+            if not admit(size * copies):
                 continue
-            budget -= size * want
-            targets = self._pick_targets(live_sids, want, len(plan))
-            plan.append((entry.key, entry.cache_key, entry.home, targets))
+            targets = self._pick_targets(live_sids, copies, len(plan))
+            plan.append(Move(
+                "repair", entry.key, entry.cache_key, entry.home, size,
+                targets, targets,
+            ))
             planned_keys.add(entry.key)
 
         # 4. Hash-homed records on dead servers with no directory entry:
@@ -458,116 +423,52 @@ class ClusterTopology:
         # index — deterministic, and the budget bounds each round.
         alive_arr = np.asarray(alive, dtype=bool)
         if not alive_arr.all():
-            homeless = np.flatnonzero(~alive_arr[owner_of])
-            covered = self.directory.by_key
-            for idx in homeless.tolist():
+            covered = directory.by_key
+            for idx in np.flatnonzero(~alive_arr[owner_of]).tolist():
                 key = int(node_ids[idx])
                 if key in covered or key in planned_keys:
                     continue
                 size = int(sizes[idx])
-                if budget < size * copies and (rewrites or failbacks or plan):
-                    exhausted = True
+                if not admit(size * copies):
                     break
-                budget -= size * copies
                 targets = self._pick_targets(live_sids, copies, len(plan))
-                plan.append((key, idx, int(owner_of[idx]), targets))
+                plan.append(Move(
+                    "repair", key, idx, int(owner_of[idx]), size,
+                    targets, targets,
+                ))
 
         if not plan and not failbacks and not rewrites:
-            return exhausted or bool(self._suspect_writes)
+            return bool(self._suspect_writes)
 
-        # Execute: batched per-server legs through the shared write
-        # pipelines (repair traffic contends with queries), directory
-        # flips at the landing instant. Two waves: demand-planned keys
+        # Two waves through the mover (repair traffic contends with
+        # queries on the shared write pipelines): demand-planned keys
         # first in their own (small) legs — readers are actively blocked
         # on them, and batching them into the round's bulk legs would
         # delay their flip by the whole leg's service time.
-        materialize = service.config.materialize_storage
-        network = service.config.costs.network
-        graph = assets.graph
-        plan_priority = [p for p in plan if p[0] in demand_planned]
-        plan_bulk = [p for p in plan if p[0] not in demand_planned]
-
-        def build_legs(targeted):
-            legs: Dict[int, List[Tuple[int, Optional[bytes]]]] = {}
-            leg_bytes: Dict[int, int] = {}
-            for sid, key, idx in targeted:
-                payload = (
-                    record_for_node(graph, key).encode()
-                    if materialize else None
-                )
-                legs.setdefault(sid, []).append((key, payload))
-                leg_bytes[sid] = leg_bytes.get(sid, 0) + int(sizes[idx])
-            return legs, leg_bytes
-
-        def plan_targets(entries):
-            for key, idx, _home, targets in entries:
-                for sid in targets:
-                    yield sid, key, idx
-
-        def flip_plan(entries, failed):
-            for key, idx, home, targets in entries:
-                if any(sid in failed for sid in targets):
-                    continue
-                had_entry = key in self.directory.by_key
-                self.directory.place(key, idx, home, targets)
-                self._suspect_writes.pop(key, None)  # fresh bytes landed
-                self.repair_records += len(targets)
-                self.repair_bytes += int(sizes[idx]) * len(targets)
-                if not had_entry:
-                    self._failover_keys[key] = home
-
-        failed: List[int] = []
-        bulk_targeted = list(plan_targets(plan_bulk))
-        bulk_targeted.extend(
-            (home, key, idx) for key, idx, home in failbacks
-        )
-        bulk_targeted.extend(
-            (sid, key, idx)
-            for key, idx, holders in rewrites
-            for sid in holders
-        )
-        for wave_targeted, wave_plan in (
-            (list(plan_targets(plan_priority)), plan_priority),
-            (bulk_targeted, plan_bulk),
-        ):
-            if not wave_targeted:
-                continue
-            legs, leg_bytes = build_legs(wave_targeted)
-            pending = [
-                (sid, self.env.process(tier._server_write_process(
-                    tier.servers[sid], entries, leg_bytes[sid], network,
-                )))
-                for sid, entries in legs.items()
-            ]
-            for sid, process in pending:
-                try:
-                    yield process
-                except StorageServerDown:
-                    failed.append(sid)  # died mid-round; next round retries
-            flip_plan(wave_plan, failed)
-
-        for key, idx, holders in rewrites:
-            if any(sid in failed for sid in holders):
-                continue
-            del self._suspect_writes[key]
-            self.repair_records += len(holders)
-            self.repair_bytes += int(sizes[idx]) * len(holders)
-        for key, idx, home in failbacks:
-            if home in failed:
-                continue
-            previous = tier.replica_sids(key)
-            self.directory.drop(key)
-            self._failover_keys.pop(key, None)
-            self._suspect_writes.pop(key, None)  # fresh bytes went home
-            self.failbacks += 1
-            self.repair_records += 1
-            self.repair_bytes += int(sizes[idx])
-            if materialize:
-                for sid in sorted(set(previous) - {home}):
-                    store = tier.servers[sid].store
-                    if key in store:
-                        store.delete(key)
+        network = self.service.config.costs.network
+        priority = [move for move in plan if move.kind == "demand"]
+        bulk = [move for move in plan if move.kind != "demand"]
+        for wave in (priority, bulk + failbacks + rewrites):
+            yield from tier.move_process(wave, network)
+            for move in wave:
+                if move.landed:  # else: died mid-round; next round retries
+                    # Booked at the record's size as of landing: an update
+                    # may have resized it in place since it was planned.
+                    self._note_landed(move, int(sizes[move.cache_key]))
         return True
+
+    def _note_landed(self, move: Move, size: int) -> None:
+        """Book one repair move whose fresh bytes all landed."""
+        self._suspect_writes.pop(move.key, None)
+        self.repair_records += len(move.write_to)
+        self.repair_bytes += size * len(move.write_to)
+        if move.kind == "failback":
+            self._failover_keys.pop(move.key, None)
+            self.failbacks += 1
+        elif move.kind != "rewrite" and move.replaced is None:
+            # Repair made this exception (placement-made ones stay
+            # placement-owned): fail it back once the home recovers.
+            self._failover_keys[move.key] = move.home
 
     def _pick_targets(
         self, live_sids: List[int], copies: int, offset: int
@@ -579,26 +480,16 @@ class ClusterTopology:
         return tuple(rotated[:copies])
 
     # -- write-failure accounting ----------------------------------------------
-    @property
-    def tolerates_write_failures(self) -> bool:
-        """Update batches may lose copies to a dead server without raising.
-
-        Any topology-managed cluster absorbs the loss (a static cluster
-        — ``topology=None`` — still raises); only ``failover`` *heals*
-        it: the lost copies become suspects the repair loop re-writes
-        from the authoritative graph. Without failover the write is
-        simply gone — the recovered server serves stale bytes, counted
-        in ``write_failures``."""
-        return True
-
     def note_write_failure(
         self, dirty: Optional[Dict[int, int]] = None
     ) -> None:
-        """Record a tolerated update-write failure. ``dirty`` maps the
-        batch's storage keys to cache keys; all of them become *suspects*
-        (some lost every copy — the error does not say which), re-written
-        from the authoritative graph by the repair loop when ``failover``
-        is on."""
+        """Record a tolerated update-write failure: any topology-managed
+        cluster absorbs the loss (a static cluster — ``topology=None`` —
+        still raises). ``dirty`` maps the batch's storage keys to cache
+        keys; all of them become *suspects* (some lost every copy — the
+        error does not say which). Only ``failover`` *heals* them: the
+        repair loop re-writes suspects from the authoritative graph;
+        without it the recovered server serves stale bytes."""
         self.write_failures += 1
         if self.config.failover:
             if dirty:

@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..graph.updates import GraphUpdate, apply_updates, validate_updates
-from ..storage.records import record_for_node
 from .routing import AdaptiveRouting, EmbedRouting, LandmarkRouting
 from .routing.base import RoutingStrategy
 
@@ -184,10 +183,11 @@ class LiveUpdateManager:
             # completion); only the failed server's log misses its bytes,
             # like any other write lost to the injected failure.
             topology = service.topology
-            if topology is not None and topology.tolerates_write_failures:
-                # Failover: the repair loop re-writes lost records from
-                # the authoritative graph, so a batch that lost every
-                # copy of some key is counted, not fatal. The whole
+            if topology is not None:
+                # A topology-managed cluster absorbs the loss (with
+                # failover on, the repair loop re-writes lost records
+                # from the authoritative graph), so a batch that lost
+                # every copy of some key is counted, not fatal. The whole
                 # batch becomes suspect — the error doesn't say which
                 # keys lost all copies.
                 compact = service.assets.compact
@@ -225,18 +225,14 @@ class LiveUpdateManager:
         service = self.service
         assets = service.assets
         sizes = assets.record_sizes
-        materialize = service.config.materialize_storage
         # Storage keys are *original* node ids (the key space load_graph
         # partitions on); cache keys are compact indices (what the gather
-        # path probes with).
-        items: List[Tuple[int, int, Optional[bytes]]] = []
-        for node in sorted(dirty_ids):
-            idx = assets.compact[node]
-            payload = (
-                record_for_node(assets.graph, node).encode()
-                if materialize else None
-            )
-            items.append((node, int(sizes[idx]), payload))
+        # path probes with). The tier encodes the payloads itself when it
+        # holds real bytes.
+        items = [
+            (node, int(sizes[assets.compact[node]]), None)
+            for node in sorted(dirty_ids)
+        ]
         records, nbytes, write_error = yield from service.tier.multiput_process(
             items, network=service.config.costs.network
         )

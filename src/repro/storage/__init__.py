@@ -11,18 +11,28 @@ from .placement import (
 )
 from .records import AdjacencyRecord, graph_to_records, record_for_node
 from .server import StorageServer, StorageServerDown
-from .tier import StorageTier, modulo_partitioner, murmur_partitioner
+from .tier import (
+    HOME,
+    UNCHANGED,
+    Move,
+    StorageTier,
+    modulo_partitioner,
+    murmur_partitioner,
+)
 
 __all__ = [
     "AdjacencyRecord",
+    "HOME",
     "HeatTracker",
     "KVStoreError",
     "LogStructuredStore",
+    "Move",
     "Placement",
     "PlacementDirectory",
     "StorageServer",
     "StorageServerDown",
     "StorageTier",
+    "UNCHANGED",
     "graph_to_records",
     "hash_node_id",
     "heat_by_server",

@@ -18,19 +18,21 @@ kept storage-side so the tier can consult them on every read and write:
 :class:`PlacementDirectory`
     A mutable overlay on the hash partitioner that stores only
     *exceptions*: records that were migrated away from their hash home
-    or replicated onto extra servers. An empty directory is bit-identical
-    to plain ``murmur_partitioner`` behaviour — every lookup guards on
-    emptiness before doing any work. Entries are dual-keyed, by storage
-    key (original node id — the key space ``StorageTier`` partitions and
-    writes with) and by cache key (compact index — what the gather hot
-    path routes with), because both paths must agree on where a record
-    lives at every simulated instant.
+    or replicated onto extra servers. Every ``StorageTier`` owns one; an
+    empty directory is bit-identical to plain ``murmur_partitioner``
+    behaviour. Entries are dual-keyed, by storage key (original node id
+    — the key space ``StorageTier`` partitions and writes with) and by
+    cache key (compact index — what the gather hot path routes with),
+    because both paths must agree on where a record lives at every
+    simulated instant.
 
 Read-any / write-all-or-invalidate:
 :func:`pick_read_replica` implements read-any (least-loaded live replica
 by pipeline occupancy, deterministic tie-break); the write side lives in
 :meth:`StorageTier.multiput_process`, which expands directory entries to
-every replica and drops replicas whose server failed mid-write.
+every replica and drops replicas whose server failed mid-write. Entries
+are placed and dropped by :meth:`StorageTier.move_process` alone, at the
+instant a move's copies have landed.
 """
 
 from __future__ import annotations
@@ -151,14 +153,12 @@ class Placement:
 class PlacementDirectory:
     """Exception-only overlay on the hash partitioner.
 
-    Empty ⇒ zero-cost: every consumer guards on ``by_key`` /
-    ``by_cache_key`` truthiness before touching the overlay, so a
-    service built with the placement subsystem attached but an empty
-    directory takes exactly the pre-placement code paths (the parity
-    regression tests pin this). Mutations (``place`` / ``drop`` /
-    ``drop_replica``) happen at the simulated instant the corresponding
-    copies landed or were lost — the PlacementManager and the tier's
-    write path are the only mutators.
+    Empty ⇒ pure hash placement: lookups fall through to the
+    partitioner, and the gather hot path skips the overlay on
+    ``by_cache_key`` truthiness, so an empty directory takes exactly the
+    pre-placement code paths (the parity regression tests pin this).
+    Mutations (``place`` / ``drop`` / ``drop_replica``) happen at the
+    simulated instant the corresponding copies landed or were lost.
     """
 
     def __init__(self) -> None:
@@ -272,7 +272,7 @@ def pick_read_replica(replicas: Tuple[int, ...],
 
 def heat_by_server(
     heat: HeatTracker,
-    directory: Optional[PlacementDirectory],
+    directory: PlacementDirectory,
     owner_of: np.ndarray,
     node_ids: np.ndarray,
     num_servers: int,
@@ -287,7 +287,7 @@ def heat_by_server(
     """
     per_server: List[List[Tuple[float, int]]] = [[] for _ in range(num_servers)]
     hot_idx, heats = heat.top_k(max(k * num_servers, k), now)
-    by_cache_key = directory.by_cache_key if directory is not None else {}
+    by_cache_key = directory.by_cache_key
     for idx, h in zip(hot_idx.tolist(), heats.tolist(), strict=True):
         entry = by_cache_key.get(idx)
         sids: Iterable[int] = (

@@ -82,7 +82,11 @@ class StorageServer:
         """Simulation process serving a multiget; yields the value dict.
 
         The caller is responsible for network costs; this process models
-        only server-side queueing and service time.
+        only server-side queueing and service time. Queries do not spawn
+        it: the gather hot path drives the same pipeline ``Resource``
+        through the metadata-only callback chain
+        ``repro.core.operators.gather._ServerFetch`` (sizes and ownership
+        from precomputed arrays, same queueing and failure injection).
         """
         keys = list(keys)
         request = self.pipeline.request()
@@ -100,43 +104,16 @@ class StorageServer:
             self.pipeline.release(request)
         return values
 
-    def serve_process(self, num_keys: int, nbytes: int):
-        """Metadata-only multiget: queueing + service time without data.
-
-        Large experiment sweeps simulate thousands of queries over the same
-        immutable graph; they account sizes and ownership from precomputed
-        arrays and use this path so the store itself is not re-decoded per
-        request. Timing and contention are identical to
-        :meth:`multiget_process`.
-
-        The gather hot path no longer spawns this generator: its fused
-        callback twin, ``repro.core.operators.gather._ServerFetch``, drives
-        the same pipeline ``Resource`` with the same stage order. Keep the
-        two in lockstep when changing service semantics.
-        """
-        request = self.pipeline.request()
-        yield request
-        try:
-            if not self.alive:
-                raise StorageServerDown(f"storage server {self.server_id} is down")
-            yield self.env.timeout(self.service.service_time(num_keys, nbytes))
-            self.requests_served += 1
-            self.keys_served += num_keys
-            self.bytes_served += nbytes
-        finally:
-            self.pipeline.release(request)
-
     def multiput_process(self, entries, nbytes: int):
         """Simulation process serving a batched write (graph updates).
 
         ``entries`` is a sequence of ``(key, payload)`` pairs; ``payload``
         may be ``None`` in accounting mode (sweep experiments track sizes
         and ownership from precomputed arrays without materialising the
-        store — the write twin of :meth:`serve_process`), in which case
-        ``nbytes`` carries the encoded sizes. Writes occupy the same FIFO
-        pipeline as reads, so update churn queues behind (and delays)
-        query fetches, which is the contention the live-update experiments
-        measure.
+        store), in which case ``nbytes`` carries the encoded sizes. Writes
+        occupy the same FIFO pipeline as reads, so update churn queues
+        behind (and delays) query fetches, which is the contention the
+        live-update experiments measure.
         """
         entries = list(entries)
         request = self.pipeline.request()
@@ -154,21 +131,6 @@ class StorageServer:
         finally:
             self.pipeline.release(request)
         return len(entries)
-
-    def put_process(self, key: int, value: bytes):
-        """Simulation process serving a single put."""
-        request = self.pipeline.request()
-        yield request
-        try:
-            if not self.alive:
-                raise StorageServerDown(f"storage server {self.server_id} is down")
-            yield self.env.timeout(self.service.write_time(1, len(value)))
-            self.store.put(key, value)
-            self.writes_served += 1
-            self.records_written += 1
-            self.bytes_written += len(value)
-        finally:
-            self.pipeline.release(request)
 
     def utilization(self, elapsed: float) -> float:
         return self.pipeline.utilization(elapsed)

@@ -3,18 +3,25 @@
 The paper's storage tier (§2.3, §4.1) is RAMCloud with its default
 MurmurHash3 key partitioning — deliberately *inexpensive* partitioning,
 because smart routing at the processing tier is what recovers locality.
+
+The tier also owns *where a record lives right now* — the hash
+partitioner plus its :class:`~repro.storage.placement.PlacementDirectory`
+of exceptions (empty ⇔ pure hash placement) — and the one way a record
+moves: :meth:`StorageTier.move_process`, the timed write → directory flip
+→ stale-copy clean-up path that update writes, placement rounds and
+repair rounds all plan :class:`Move` lists for.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..costs import NetworkModel, StorageServiceModel
 from ..graph.digraph import Graph
-from ..sim import Environment
+from ..sim import Environment, Event
 from .murmur import hash_node_id
 from .placement import HeatTracker, PlacementDirectory, pick_read_replica
-from .records import AdjacencyRecord, graph_to_records
+from .records import AdjacencyRecord, graph_to_records, record_for_node
 from .server import StorageServer, StorageServerDown
 
 Partitioner = Callable[[int, int], int]
@@ -23,6 +30,10 @@ Partitioner = Callable[[int, int], int]
 _WRITE_HEADER_BYTES = 24
 _PER_RECORD_WRITE_BYTES = 12  # key + length prefix per record
 _WRITE_ACK_BYTES = 16
+
+#: :attr:`Move.replicas` values besides a new replica tuple.
+HOME: Tuple[int, ...] = ()  # drop the directory exception: back to the hash home
+UNCHANGED = None  # fresh bytes only; the directory is not touched
 
 
 def murmur_partitioner(key: int, num_servers: int) -> int:
@@ -33,6 +44,52 @@ def murmur_partitioner(key: int, num_servers: int) -> int:
 def modulo_partitioner(key: int, num_servers: int) -> int:
     """Plain modulo placement (useful in tests for predictable layouts)."""
     return key % num_servers
+
+
+class Move:
+    """One record's planned move, executed by :meth:`StorageTier.move_process`.
+
+    ``write_to`` are the servers that need fresh bytes; ``replicas`` is
+    the record's directory entry afterwards — a new replica tuple,
+    :data:`HOME` or :data:`UNCHANGED`. ``kind`` is the planner's own label
+    (the mover never reads it); ``payload`` overrides the bytes a
+    bulk-loaded tier would encode itself. ``cache_key`` and ``home`` are
+    only consulted when the directory flips.
+
+    The mover fills ``landed`` (every ``write_to`` leg was acknowledged,
+    so the directory flipped) and ``replaced`` (the directory exception
+    the flip overwrote or dropped; ``None`` if the record was at its hash
+    home) at the landing instant.
+    """
+
+    __slots__ = ("kind", "key", "cache_key", "home", "size", "write_to",
+                 "replicas", "payload", "landed", "replaced")
+
+    def __init__(self, kind: str, key: int, cache_key: Optional[int],
+                 home: int, size: int, write_to: Tuple[int, ...],
+                 replicas: Optional[Tuple[int, ...]],
+                 payload: Optional[bytes] = None) -> None:
+        self.kind = kind
+        self.key = key
+        self.cache_key = cache_key
+        self.home = home
+        self.size = size
+        self.write_to = write_to
+        self.replicas = replicas
+        self.payload = payload
+        self.landed = False
+        self.replaced: Optional[Tuple[int, ...]] = None
+
+
+def _observe_leg(_leg: Event) -> None:
+    """Write-leg observer, attached at spawn.
+
+    The mover awaits its legs one by one, so a leg that fails while an
+    earlier one is still queued has no waiter at its failure instant;
+    this callback is what marks the failure as *handled* from that
+    instant (the mover collects it when its turn comes), keeping the
+    sanitizer's unhandled-failure trap for failures nobody awaits.
+    """
 
 
 class StorageTier:
@@ -61,47 +118,38 @@ class StorageTier:
             )
             for i in range(num_servers)
         ]
-        # Dynamic-placement overlay (see repro.storage.placement). Both stay
-        # None unless a PlacementManager attaches them; every consumer
-        # guards on that, so the default tier is exactly the pre-placement
-        # tier. An *empty* attached directory is equally zero-cost: lookups
-        # guard on truthiness before consulting the overlay.
-        self.directory: Optional[PlacementDirectory] = None
+        #: Where records live beyond the hash partitioner: exceptions only,
+        #: so an empty directory is exactly the hash-partitioned tier.
+        self.directory = PlacementDirectory()
+        #: The bulk-loaded graph (None = accounting mode: sizes drive
+        #: timing, nothing lands in the stores). The mover encodes fresh
+        #: payloads from it.
+        self.graph: Optional[Graph] = None
+        # Optional hooks, None unless a manager installs them — the read
+        # path then stays bit-identical to the hookless tier. ``heat``:
+        # decayed per-record access counts (dynamic placement).
+        # ``on_read_failure``: called with the cache keys of a read wave
+        # about to hit a dead server, so the repair loop can re-home
+        # exactly what live traffic is blocked on (elastic topology).
         self.heat: Optional[HeatTracker] = None
-        # Demand-repair hook (see repro.core.topology): called with the
-        # cache keys of a read wave about to hit a dead server, so the
-        # repair loop can re-home exactly what live traffic is blocked
-        # on before its linear scan gets there. None (the default) keeps
-        # the read path bit-identical to the pre-topology tier.
         self.on_read_failure: Optional[Callable[[List[int]], None]] = None
 
     @property
     def num_servers(self) -> int:
         return len(self.servers)
 
-    def attach_placement(
-        self, directory: PlacementDirectory, heat: HeatTracker
-    ) -> None:
-        """Install the dynamic-placement overlay (one per tier)."""
-        self.directory = directory
-        self.heat = heat
-
     def locate(self, key: int) -> StorageServer:
         """The server owning ``key`` (read-any across directory replicas)."""
-        if self.directory is not None and self.directory:
-            entry = self.directory.by_key.get(key)
-            if entry is not None:
-                return self.servers[
-                    pick_read_replica(entry.replicas, self.servers)
-                ]
+        entry = self.directory.by_key.get(key)
+        if entry is not None:
+            return self.servers[pick_read_replica(entry.replicas, self.servers)]
         return self.servers[self.partitioner(key, self.num_servers)]
 
     def replica_sids(self, key: int) -> Tuple[int, ...]:
         """Every server currently holding ``key`` (write-all targets)."""
-        home = self.partitioner(key, self.num_servers)
-        if self.directory is not None and self.directory:
-            return self.directory.replicas_for(key, home)
-        return (home,)
+        return self.directory.replicas_for(
+            key, self.partitioner(key, self.num_servers)
+        )
 
     def load_graph(self, graph: Graph) -> int:
         """Bulk-load every adjacency record; returns total bytes stored.
@@ -109,6 +157,7 @@ class StorageTier:
         Loading happens outside simulated time (the paper's experiments
         start with the graph already resident in the storage tier).
         """
+        self.graph = graph
         total = 0
         for record in graph_to_records(graph):
             payload = record.encode()
@@ -129,21 +178,19 @@ class StorageTier:
     def partition_plan(self, keys: Iterable[int]) -> Dict[int, List[int]]:
         """Group ``keys`` by the server a read should go to.
 
-        With an empty (or absent) directory this is exactly the hash
-        partition; directory exceptions route read-any to the
-        least-loaded live replica at this simulated instant.
+        With an empty directory this is exactly the hash partition;
+        directory exceptions route read-any to the least-loaded live
+        replica at this simulated instant.
         """
-        directory = self.directory
-        overlay = directory.by_key if directory is not None and directory else None
+        overlay = self.directory.by_key
         plan: Dict[int, List[int]] = {}
         for key in keys:
-            if overlay is not None:
-                entry = overlay.get(key)
-                if entry is not None:
-                    sid = pick_read_replica(entry.replicas, self.servers)
-                    plan.setdefault(sid, []).append(key)
-                    continue
-            plan.setdefault(self.partitioner(key, self.num_servers), []).append(key)
+            entry = overlay.get(key)
+            if entry is not None:
+                sid = pick_read_replica(entry.replicas, self.servers)
+            else:
+                sid = self.partitioner(key, self.num_servers)
+            plan.setdefault(sid, []).append(key)
         return plan
 
     def fetch_process(self, keys: Iterable[int]):
@@ -186,25 +233,90 @@ class StorageTier:
             yield self.env.timeout(network.transfer_time(_WRITE_ACK_BYTES))
         return len(entries), nbytes
 
+    def move_process(
+        self, moves: Sequence[Move], network: Optional[NetworkModel] = None
+    ):
+        """The record mover: timed writes, directory flip, stale-copy
+        clean-up — the one path by which records change servers or bytes.
+
+        Every move's fresh copy is written to its ``write_to`` servers
+        through the same FIFO pipelines queries fetch from, one batched
+        leg per server (first-appearance order), all legs in flight at
+        once; ``network``, when given, charges each leg's request/ack
+        transfers. Payloads are encoded here iff the tier was bulk-loaded
+        (accounting mode writes sizes only). Every leg runs to completion
+        — a dead server fails its own leg, never the others'.
+
+        At the instant the last leg finishes, each move whose legs all
+        landed flips the directory to its ``replicas`` and only then
+        loses the copies outside that set, so no read ever routes to a
+        server lacking the record; a move with a failed leg changes
+        nothing (its planner retries or gives up). Returns ``{server id:
+        StorageServerDown}`` for the failed legs, in leg order; per-move
+        outcomes are left on the moves (``landed`` / ``replaced``).
+        """
+        graph = self.graph
+        legs: Dict[int, List[Tuple[int, Optional[bytes]]]] = {}
+        leg_bytes: Dict[int, int] = {}
+        for move in moves:
+            if not move.write_to:
+                continue
+            payload = move.payload
+            if payload is None and graph is not None:
+                payload = record_for_node(graph, move.key).encode()
+            for sid in move.write_to:
+                legs.setdefault(sid, []).append((move.key, payload))
+                leg_bytes[sid] = leg_bytes.get(sid, 0) + move.size
+        pending = []
+        for sid, entries in legs.items():
+            leg = self.env.process(self._server_write_process(
+                self.servers[sid], entries, leg_bytes[sid], network,
+            ))
+            leg.callbacks.append(_observe_leg)
+            pending.append((sid, leg))
+        down: Dict[int, StorageServerDown] = {}
+        for sid, leg in pending:
+            try:
+                yield leg
+            except StorageServerDown as error:
+                down[sid] = error
+
+        directory = self.directory
+        for move in moves:
+            move.landed = not any(sid in down for sid in move.write_to)
+            if not move.landed or move.replicas is UNCHANGED:
+                continue
+            entry = directory.by_key.get(move.key)
+            move.replaced = entry.replicas if entry is not None else None
+            if move.replicas:
+                directory.place(
+                    move.key, move.cache_key, move.home, move.replicas
+                )
+            else:
+                directory.drop(move.key)
+            stale = set(move.replaced or (move.home,))
+            stale.difference_update(move.replicas or (move.home,))
+            for sid in sorted(stale):
+                store = self.servers[sid].store
+                if move.key in store:
+                    store.delete(move.key)
+        return down
+
     def multiput_process(
         self,
         items: Iterable[Tuple[int, int, Optional[bytes]]],
         network: Optional[NetworkModel] = None,
     ):
-        """Simulation process writing updated records, one multiput per
-        involved server, in parallel (the write twin of
-        :meth:`fetch_process`).
+        """Simulation process writing updated records in place (the write
+        twin of :meth:`fetch_process`): one :data:`UNCHANGED` move per
+        item through :meth:`move_process`.
 
-        ``items`` are ``(key, size_bytes, payload)`` triples; ``payload``
-        is the encoded record, or ``None`` in accounting mode (sizes alone
-        drive timing, nothing lands in the store). ``network``, when
-        given, charges the request/ack transfers per server — the caller
-        (the live-update manager) knows which interconnect it is on.
+        ``items`` are ``(key, size_bytes, payload)`` triples; a ``None``
+        payload is encoded by a bulk-loaded tier and stays ``None`` in
+        accounting mode.
 
-        Returns ``(records_written, bytes_written, error)``: every
-        server's leg runs to completion (failure injection on one server
-        does not abort the others' writes), the totals count what
-        actually landed, and ``error`` carries the first
+        Returns ``(records_written, bytes_written, error)``: the totals
+        count what actually landed, and ``error`` carries the first
         :class:`StorageServerDown` (or ``None``) instead of raising — the
         caller decides how a partial write surfaces, with accurate
         counters in hand either way.
@@ -216,56 +328,40 @@ class StorageTier:
         stay coherent, so read-any remains sound). ``error`` then
         reports only keys that landed on **no** server — with an empty
         directory every key lives on exactly one leg, so this reduces to
-        the historical any-leg-failed behaviour bit-for-bit.
+        any-leg-failed.
         """
         directory = self.directory
-        replicated = directory is not None and bool(directory)
-        plan: Dict[int, List[Tuple[int, Optional[bytes]]]] = {}
-        sizes: Dict[int, int] = {}
+        replicated = bool(directory)
+        moves = []
         for key, size, payload in items:
-            if replicated:
-                sids = directory.replicas_for(
-                    key, self.partitioner(key, self.num_servers)
-                )
-            else:
-                sids = (self.partitioner(key, self.num_servers),)
-            for sid in sids:
-                plan.setdefault(sid, []).append((key, payload))
-                sizes[sid] = sizes.get(sid, 0) + size
-        pending = [
-            (sid, self.env.process(self._server_write_process(
-                self.servers[sid], entries, sizes[sid], network,
-            )))
-            for sid, entries in plan.items()
-        ]
+            home = self.partitioner(key, self.num_servers)
+            moves.append(Move(
+                "update", key, None, home, size,
+                directory.replicas_for(key, home), UNCHANGED, payload,
+            ))
+        down = yield from self.move_process(moves, network)
         total_records = 0
         total_bytes = 0
-        error: Optional[StorageServerDown] = None
-        failed_sids: List[int] = []
-        for sid, process in pending:
-            try:
-                records, nbytes = yield process
-            except StorageServerDown as down:
-                if error is None:
-                    error = down
-                failed_sids.append(sid)
-            else:
-                total_records += records
-                total_bytes += nbytes
-        if failed_sids and replicated:
+        for move in moves:
+            for sid in move.write_to:
+                if sid not in down:
+                    total_records += 1
+                    total_bytes += move.size
+        error = next(iter(down.values()), None)
+        if down and replicated:
             # Coverage check: a key is lost only if *every* holder failed.
-            failed = set(failed_sids)
             any_lost = False
-            for sid in failed_sids:
-                for key, _payload in plan[sid]:
-                    holders = directory.replicas_for(
-                        key, self.partitioner(key, self.num_servers)
-                    )
-                    if all(h in failed for h in holders):
-                        any_lost = True
-                    else:
-                        # Invalidate the failed copy; survivors carry on.
-                        directory.drop_replica(key, sid)
+            for move in moves:
+                if move.landed:
+                    continue
+                holders = directory.replicas_for(move.key, move.home)
+                if all(sid in down for sid in holders):
+                    any_lost = True
+                    continue
+                # Invalidate the failed copies; survivors carry on.
+                for sid in move.write_to:
+                    if sid in down:
+                        directory.drop_replica(move.key, sid)
             if not any_lost:
                 error = None
         return total_records, total_bytes, error

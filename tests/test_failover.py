@@ -126,6 +126,75 @@ class TestFailover:
         assert 0 < few < many
 
 
+def _split_pair(service):
+    """Two non-adjacent nodes ``u < v`` homed on different servers, so a
+    batch touching both writes ``u``'s leg first and ``v``'s second."""
+    tier = service.tier
+    return next(
+        (u, v) for u in range(5) for v in range(15, 20)
+        if tier.partitioner(u, 2) != tier.partitioner(v, 2)
+    )
+
+
+class TestSanitizedMoverFailures:
+    """The sanitize x tolerated-dead-write trap: a write leg that fails
+    while the mover still waits on an *earlier* leg has no waiter at its
+    failure instant. Tolerated failures must not trip the sanitizer's
+    unhandled-failure trap; untolerated ones must still raise."""
+
+    def test_dead_second_leg_is_counted_not_trapped(self):
+        graph = ring_of_cliques(8, 5)
+        with GraphService.open(graph, _config(), sanitize=True) as service:
+            topology = service.topology
+            u, v = _split_pair(service)
+            dead = service.tier.partitioner(v, 2)
+            topology.fail_server(dead)
+            report = service.apply_updates([GraphUpdate.add_edge(u, v)])
+            assert report.records_written == 1  # u's leg landed
+            assert topology.write_failures == 1
+            assert topology.snapshot()["suspect_writes"] == 2
+            topology.recover_server(dead)
+            service.env.run(until=service.env.now + 5e-3)
+            assert topology.snapshot()["suspect_writes"] == 0
+
+    def test_static_cluster_still_raises_after_its_bookkeeping(self):
+        graph = ring_of_cliques(8, 5)
+        config = _config(topology=None)
+        with GraphService.open(graph, config, sanitize=True) as service:
+            u, v = _split_pair(service)
+            service.tier.servers[service.tier.partitioner(v, 2)].fail()
+            with pytest.raises(StorageServerDown):
+                service.apply_updates([GraphUpdate.add_edge(u, v)])
+            # The error surfaced from the update manager, after the
+            # coherence layers ran — not from the sanitizer mid-write.
+            assert service.updates.records_written == 1
+            assert {u, v} <= service.updates.stale
+            service.close(drain=False)
+
+    def test_repair_target_dying_mid_round_is_retried(self, graph):
+        config = ClusterConfig(
+            num_processors=2, num_storage_servers=3, routing="hash",
+            topology=TopologyConfig(repair_interval_s=5e-5, replication=2),
+        )
+        with GraphService.open(graph, config, sanitize=True) as service:
+            topology, tier = service.topology, service.tier
+            topology.fail_server(0)
+            # The first round (t = 5e-5) writes every lost record to
+            # servers 1 and 2; server 2 dies while those legs are on the
+            # wire, so its leg fails with server 1's still in service.
+            topology.schedule([
+                ChaosEvent(at=5e-5 + 1e-9, action="fail_server", target=2),
+            ])
+            service.env.run(until=1e-3)
+            assert topology.repair_rounds >= 2
+            assert topology.repair_records > 0
+            # The retry re-homed everything onto the lone survivor.
+            assert all(
+                tier.locate(key).server_id == 1 for key in graph.nodes()
+            )
+            service.close(drain=False)
+
+
 class TestToleratedWrites:
     def test_update_write_failure_is_counted_not_fatal(self):
         graph = ring_of_cliques(8, 5)  # private: updates mutate the graph
@@ -203,7 +272,7 @@ class TestReplicaReadsUnderFailure:
             with pytest.raises(StorageServerDown):
                 service.env.run(until=service.env.process(
                     tier.servers[tier.locate(key).server_id]
-                    .serve_process(1, 64)
+                    .multiget_process([key])
                 ))
             service.close(drain=False)
 

@@ -197,10 +197,10 @@ class TestPickReadReplica:
 
 class TestTierReplicaRouting:
     def _attached(self, service):
-        directory = PlacementDirectory()
-        heat = HeatTracker(half_life_s=1.0, size=service.assets.num_nodes)
-        service.tier.attach_placement(directory, heat)
-        return directory
+        service.tier.heat = HeatTracker(
+            half_life_s=1.0, size=service.assets.num_nodes
+        )
+        return service.tier.directory
 
     def test_locate_and_plan_follow_the_directory(self):
         with GraphService.open(ring_graph(), _config()) as service:
@@ -257,9 +257,10 @@ class TestReplicaCoherenceUnderFailure:
     def _replicate(self, service, node):
         """Place ``node`` on both servers and materialise both copies."""
         tier = service.tier
-        directory = PlacementDirectory()
-        heat = HeatTracker(half_life_s=1.0, size=service.assets.num_nodes)
-        tier.attach_placement(directory, heat)
+        directory = tier.directory
+        tier.heat = HeatTracker(
+            half_life_s=1.0, size=service.assets.num_nodes
+        )
         home = tier.partitioner(node, tier.num_servers)
         directory.place(node, service.assets.compact[node], home,
                         (home, 1 - home))
@@ -365,6 +366,29 @@ class TestPlacementManager:
             assert node in tier.servers[1 - home].store
             assert manager.migration_bytes > 0
             assert tier.servers[1 - home].records_written == 1
+
+    def test_target_dying_mid_copy_fails_the_move_under_sanitize(self):
+        # Two legs; the second target dies after planning. Its leg fails
+        # while the first is still in service — counted in failed_moves,
+        # never an unhandled failure (sanitize x dead-write regression).
+        placement = PlacementConfig(
+            interval_s=100.0, half_life_s=10.0, heat_threshold=2.0,
+            replicate_threshold=2.0, replicas=3,
+        )
+        config = _config(num_storage_servers=3, placement=placement)
+        with GraphService.open(ring_graph(), config, sanitize=True) as service:
+            manager = service.placement
+            idx = service.assets.compact[0]
+            manager.heat.touch(np.array([idx]), service.env.now, weight=5.0)
+            moves = manager.plan()
+            assert [m.kind for m in moves] == ["replicate"]
+            first, second = moves[0].write_to
+            service.tier.servers[second].fail()
+            service.env.run(until=service.env.process(manager._execute(moves)))
+            assert manager.failed_moves == 1
+            assert manager.replications == 0
+            assert manager.directory.get(0) is None
+            assert service.tier.servers[first].records_written == 1
 
     def test_migration_moves_record_and_deletes_old_copy(self):
         with self._service(heat_threshold=2.0, replicate_threshold=1e9,

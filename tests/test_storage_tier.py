@@ -6,6 +6,9 @@ from repro.costs import StorageServiceModel
 from repro.graph import erdos_renyi, ring_of_cliques
 from repro.sim import Environment
 from repro.storage import (
+    HOME,
+    UNCHANGED,
+    Move,
     StorageServer,
     StorageServerDown,
     StorageTier,
@@ -93,12 +96,6 @@ class TestStorageServer:
         server.recover()
         proc = env.process(server.multiget_process([1]))
         assert env.run(until=proc) == {1: b"x"}
-
-    def test_put_process_stores_value(self, env):
-        server = StorageServer(env, 0, StorageServiceModel())
-        proc = env.process(server.put_process(5, b"val"))
-        env.run(until=proc)
-        assert server.store.get(5) == b"val"
 
     def test_counters(self, env):
         server = StorageServer(env, 0, StorageServiceModel())
@@ -306,3 +303,191 @@ class TestWritePath:
         assert (records, nbytes) == (1, 8)
         assert tier.servers[1].store.get(1) == b"b"
         assert tier.servers[0].records_written == 0
+
+
+# ---------------------------------------------------------------------------
+# The record mover: timed write -> directory flip -> stale-copy clean-up
+# ---------------------------------------------------------------------------
+
+#: One read or one write batch occupies a pipeline for exactly this long.
+TICK = 10e-6
+
+
+def _slow_tier(env, num_servers=2, graph=None):
+    model = StorageServiceModel(
+        per_request=TICK, per_key=0, per_byte=0,
+        write_per_request=TICK, write_per_key=0, write_per_byte=0,
+    )
+    tier = StorageTier(
+        env, num_servers=num_servers, service_model=model,
+        partitioner=modulo_partitioner,
+    )
+    if graph is not None:
+        tier.load_graph(graph)
+    return tier
+
+
+def _move(tier, kind, key, write_to, replicas, size=8):
+    """A move for ``key`` whose cache key is the key itself."""
+    home = tier.partitioner(key, tier.num_servers)
+    return Move(kind, key, key, home, size, tuple(write_to), replicas)
+
+
+def _holders(tier, key):
+    return [s.server_id for s in tier.servers if key in s.store]
+
+
+class TestRecordMover:
+    def test_legs_spawn_in_first_appearance_order_on_the_read_pipeline(self, env):
+        tier = _slow_tier(env)
+        tier.servers[1].load(9, b"x")
+        spawned = []
+        write_leg = tier._server_write_process
+
+        def recording(server, entries, nbytes, network):
+            spawned.append((server.server_id, [k for k, _p in entries], nbytes))
+            return write_leg(server, entries, nbytes, network)
+
+        tier._server_write_process = recording
+        # A read already occupies server 1 when the wave arrives.
+        env.process(tier.servers[1].multiget_process([9]))
+        moves = [
+            _move(tier, "update", 1, (1,), UNCHANGED),
+            _move(tier, "update", 0, (0,), UNCHANGED),
+            _move(tier, "update", 3, (1,), UNCHANGED),
+        ]
+        down = env.run(until=env.process(tier.move_process(moves)))
+        assert down == {}
+        assert spawned == [(1, [1, 3], 16), (0, [0], 8)]
+        # Server 1's leg queued behind the read (FIFO); server 0's did
+        # not, and the wave ends when its slowest leg does.
+        assert env.now == pytest.approx(2 * TICK)
+        assert tier.servers[1].writes_served == 1
+        assert tier.servers[1].records_written == 2
+        assert all(move.landed for move in moves)
+
+    def test_dead_target_fails_its_moves_only(self, env):
+        tier = _slow_tier(env)
+        tier.servers[0].fail()
+        to_dead = _move(tier, "migrate", 1, (0,), (0,))
+        to_live = _move(tier, "migrate", 2, (1,), (1,))
+        to_both = _move(tier, "replicate", 4, (0, 1), (0, 1))
+        down = env.run(until=env.process(
+            tier.move_process([to_dead, to_live, to_both])
+        ))
+        assert list(down) == [0]
+        assert isinstance(down[0], StorageServerDown)
+        assert [m.landed for m in (to_dead, to_live, to_both)] == [
+            False, True, False,
+        ]
+        # The live server's leg ran to completion, carrying both records.
+        assert tier.servers[1].records_written == 2
+        assert env.now == pytest.approx(TICK)
+        # Only the landed move flipped the directory.
+        assert sorted(tier.directory.by_key) == [2]
+
+    def test_accounting_mode_writes_sizes_only(self, env):
+        tier = _slow_tier(env)
+        move = _move(tier, "migrate", 0, (1,), (1,), size=64)
+        env.run(until=env.process(tier.move_process([move])))
+        assert move.landed and tier.replica_sids(0) == (1,)
+        assert tier.servers[1].bytes_written == 64
+        assert all(len(server.store) == 0 for server in tier.servers)
+
+    def test_bulk_loaded_tier_lands_real_bytes(self, env):
+        graph = ring_of_cliques(4, 5)
+        tier = _slow_tier(env, graph=graph)
+        env.run(until=env.process(
+            tier.move_process([_move(tier, "migrate", 0, (1,), (1,))])
+        ))
+        expected = record_for_node(graph, 0).encode()
+        assert tier.servers[1].store.get(0) == expected
+        # An explicit payload wins over the tier's own encoding.
+        move = Move("update", 2, 2, 0, 8, (0,), UNCHANGED, payload=b"raw")
+        env.run(until=env.process(tier.move_process([move])))
+        assert tier.servers[0].store.get(2) == b"raw"
+
+    def test_migrate_one_copy_replicate_two(self, env):
+        tier = _slow_tier(env, num_servers=3, graph=ring_of_cliques(4, 5))
+        migrate = _move(tier, "migrate", 0, (1,), (1,))
+        replicate = _move(tier, "replicate", 3, (2,), (0, 2))
+        env.run(until=env.process(tier.move_process([migrate, replicate])))
+        assert _holders(tier, 0) == [1]
+        assert tier.replica_sids(0) == (1,)
+        assert _holders(tier, 3) == [0, 2]
+        assert tier.replica_sids(3) == (0, 2)
+        # Both started from the hash home: no exception was replaced.
+        assert migrate.replaced is None and replicate.replaced is None
+
+    def test_directory_flips_at_the_landing_instant(self, env):
+        tier = _slow_tier(env, graph=ring_of_cliques(4, 5))
+        proc = env.process(
+            tier.move_process([_move(tier, "migrate", 0, (1,), (1,))])
+        )
+        env.run(until=TICK / 2)  # copy in flight
+        assert tier.replica_sids(0) == (0,)
+        assert tier.locate(0) is tier.servers[0]
+        assert _holders(tier, 0) == [0]
+        env.run(until=proc)
+        assert env.now == pytest.approx(TICK)
+        assert tier.locate(0) is tier.servers[1]
+        assert _holders(tier, 0) == [1]
+
+    def test_revert_home_drops_substitutes_after_the_home_copy_lands(self, env):
+        tier = _slow_tier(env, num_servers=3, graph=ring_of_cliques(4, 5))
+        env.run(until=env.process(
+            tier.move_process([_move(tier, "migrate", 0, (1,), (1,))])
+        ))
+        restore = _move(tier, "restore", 0, (0,), HOME)
+        proc = env.process(tier.move_process([restore]))
+        env.run(until=env.now + TICK / 2)  # home copy in flight
+        assert _holders(tier, 0) == [1]
+        assert tier.replica_sids(0) == (1,)
+        env.run(until=proc)
+        assert restore.landed and restore.replaced == (1,)
+        assert _holders(tier, 0) == [0]
+        assert len(tier.directory) == 0
+
+    def test_failed_revert_keeps_the_substitute(self, env):
+        tier = _slow_tier(env, num_servers=3, graph=ring_of_cliques(4, 5))
+        env.run(until=env.process(
+            tier.move_process([_move(tier, "migrate", 0, (1,), (1,))])
+        ))
+        tier.servers[0].fail()
+        restore = _move(tier, "restore", 0, (0,), HOME)
+        env.run(until=env.process(tier.move_process([restore])))
+        assert not restore.landed
+        assert _holders(tier, 0) == [1]
+        assert tier.replica_sids(0) == (1,)
+
+    def test_writeless_release_flips_without_simulated_time(self, env):
+        tier = _slow_tier(env, num_servers=3, graph=ring_of_cliques(4, 5))
+        env.run(until=env.process(
+            tier.move_process([_move(tier, "replicate", 3, (2,), (0, 2))])
+        ))
+        landed_at = env.now
+        release = _move(tier, "release", 3, (), HOME)
+        env.run(until=env.process(tier.move_process([release])))
+        assert env.now == landed_at
+        assert release.landed and release.replaced == (0, 2)
+        assert _holders(tier, 3) == [0]
+
+    @pytest.mark.parametrize("with_network, events", [(False, 14), (True, 18)])
+    def test_a_wave_adds_no_event_beyond_its_legs(self, env, with_network, events):
+        # Event counts of the pre-mover write loop for this fixed
+        # two-server, three-record wave (measured at the parent commit):
+        # awaiting the legs costs no Condition and no observer event.
+        from repro.costs import NetworkModel
+
+        network = (
+            NetworkModel(name="test", latency=5e-6, bandwidth=1e12)
+            if with_network else None
+        )
+        tier = _slow_tier(env)
+        proc = env.process(tier.multiput_process(
+            [(0, 8, None), (1, 8, None), (2, 8, None)], network,
+        ))
+        env.run(until=proc)
+        assert env.events_processed == events
+        env.run()
+        assert env.events_processed == events

@@ -9,7 +9,7 @@ from repro.core import ChaosEvent, NeighborAggregationQuery
 from repro.core.queries import QueryIdAllocator, query_ids_from
 from repro.core.routing import HashRouting
 from repro.core.topology import CHAOS_ACTIONS
-from repro.graph import Graph, ring_of_cliques
+from repro.graph import Graph, GraphUpdate, ring_of_cliques
 from repro.workloads import poisson_arrivals, shifting_hotspot_workload
 
 
@@ -64,7 +64,7 @@ class TestConfig:
             num_processors=2, num_storage_servers=2, routing="hash",
         )) as service:
             assert service.topology is None
-            assert service.tier.directory is None
+            assert len(service.tier.directory) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,24 @@ class TestMembership:
             assert warmup[0]["queries_executed"] == by_processor[3]
             # The report reflects the live membership, not the config.
             assert report.num_processors == 4
+
+    def test_joiner_is_built_like_the_founders(self):
+        # One factory: a joiner after a live update carries the founders'
+        # cache settings and routes storage reads by the *current* owner
+        # array (grown by the update), armed with the topology's retries.
+        private = ring_of_cliques(6, 5)  # the update mutates the graph
+        config = _config(cache_policy="fifo", cache_capacity_bytes=4096)
+        with GraphService.open(private, config) as service:
+            service.apply_updates([GraphUpdate.add_node(10_000)])
+            pid = service.topology.add_processor()
+            joiner, founder = service.processors[pid], service.processors[0]
+            assert joiner.cache.policy == founder.cache.policy == "fifo"
+            assert joiner.cache.capacity_bytes == founder.cache.capacity_bytes
+            assert joiner.use_cache == founder.use_cache
+            assert joiner.costs == founder.costs
+            assert joiner.owner_of is founder.owner_of
+            assert len(joiner.owner_of) == private.num_nodes
+            assert joiner.storage_retry_limit == founder.storage_retry_limit > 0
 
     def test_join_moves_bounded_hash_share(self, graph):
         with GraphService.open(graph, _config(routing="hash")) as service:
