@@ -62,7 +62,7 @@ from .costs import (
 )
 from .graph import GraphUpdate
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "ChaosEvent",

@@ -92,7 +92,7 @@ class _CoupledBase:
         for _hop in range(hops):
             if frontier.size == 0:
                 break
-            counts = csr.indptr[frontier + 1] - csr.indptr[frontier]
+            counts = csr.degrees_of(frontier)
             neighbors = csr.gather_neighbors(frontier)
             neighbor_sources = np.repeat(frontier, counts)
             elapsed += self._hop_cost(frontier, neighbors, neighbor_sources)
@@ -147,7 +147,7 @@ class _CoupledBase:
                 for _hop in range(query.hops):
                     if frontier.size == 0 or found:
                         break
-                    counts = csr.indptr[frontier + 1] - csr.indptr[frontier]
+                    counts = csr.degrees_of(frontier)
                     neighbors = csr.gather_neighbors(frontier)
                     sources = np.repeat(frontier, counts)
                     elapsed += self._hop_cost(frontier, neighbors, sources)

@@ -10,7 +10,9 @@ Live graph updates (see :mod:`repro.core.updates`) are the one sanctioned
 mutation path: :meth:`GraphAssets.apply_graph_updates` appends new nodes
 at the *end* of the compact index space (so cache keys, record-size rows
 and owner entries for existing nodes never move), re-sizes dirty records,
-and splices only the dirty adjacency rows into the CSR views. The
+and derives the next version of each CSR view from the dirty adjacency
+rows alone — O(dirty), never O(edges); a query that captured a view
+before the update keeps reading the version it captured. The
 memoized landmark/embedding artifacts are deliberately **not** refreshed
 here — they are preprocessing snapshots, and keeping them stale (with
 incremental refresh layered on top by the update manager) is exactly the
@@ -19,7 +21,7 @@ regime the paper's Fig 10 studies.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from ..landmarks.assignment import (
     node_processor_distances,
 )
 from ..storage.murmur import hash_node_id
-from ..storage.records import record_for_node
+from ..storage.records import record_size
 
 
 class GraphAssets:
@@ -40,9 +42,11 @@ class GraphAssets:
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        self.csr_both = CSRGraph.from_graph(graph, direction="both")
-        self.node_ids = self.csr_both.node_ids
-        self.compact = {int(n): i for i, n in enumerate(self.node_ids)}
+        self.node_ids = np.array(sorted(graph.nodes()), dtype=np.int64)
+        #: The one ``{node id: compact index}`` map: append-only, and
+        #: shared by reference with every CSR view.
+        self.compact = {n: i for i, n in enumerate(self.node_ids.tolist())}
+        self.csr_both = self._build_csr("both")
         self._csr_out: Optional[CSRGraph] = None
         self._csr_in: Optional[CSRGraph] = None
         self._record_sizes: Optional[np.ndarray] = None
@@ -52,22 +56,23 @@ class GraphAssets:
         self._embeddings: Dict[Tuple[int, int, int, str], GraphEmbedding] = {}
 
     # -- topology views -----------------------------------------------------
+    def _build_csr(self, direction: str) -> CSRGraph:
+        # node_ids pins the compact order: sorted on a fresh graph, the
+        # append-stable order after live updates.
+        return CSRGraph.from_graph(
+            self.graph, direction, node_ids=self.node_ids, index=self.compact
+        )
+
     @property
     def csr_out(self) -> CSRGraph:
         if self._csr_out is None:
-            # node_ids pins the compact order: identical to sorted order on
-            # a fresh graph, and the append-stable order after live updates.
-            self._csr_out = CSRGraph.from_graph(
-                self.graph, direction="out", node_ids=self.node_ids
-            )
+            self._csr_out = self._build_csr("out")
         return self._csr_out
 
     @property
     def csr_in(self) -> CSRGraph:
         if self._csr_in is None:
-            self._csr_in = CSRGraph.from_graph(
-                self.graph, direction="in", node_ids=self.node_ids
-            )
+            self._csr_in = self._build_csr("in")
         return self._csr_in
 
     @property
@@ -81,7 +86,7 @@ class GraphAssets:
         if self._record_sizes is None:
             sizes = np.empty(self.num_nodes, dtype=np.int64)
             for node_id, idx in self.compact.items():
-                sizes[idx] = record_for_node(self.graph, node_id).size_bytes()
+                sizes[idx] = record_size(self.graph, node_id)
             self._record_sizes = sizes
         return self._record_sizes
 
@@ -139,31 +144,21 @@ class GraphAssets:
         return self._landmark_indexes[key]
 
     # -- live graph updates --------------------------------------------------
-    def _compact_row(self, node: int, direction: str) -> list:
-        graph = self.graph
-        if direction == "out":
-            adjacency: Iterable[int] = graph.out_neighbors(node)
-        elif direction == "in":
-            adjacency = graph.in_neighbors(node)
-        else:
-            adjacency = graph.neighbors(node)
-        compact = self.compact
-        return [compact[v] for v in adjacency]
-
-    def _splice_csr(
-        self, csr: CSRGraph, direction: str,
-        dirty_existing: Iterable[int], new_ids: list,
+    def _next_csr(
+        self, csr: CSRGraph, direction: str, touched: list
     ) -> CSRGraph:
-        new_rows = {
-            self.compact[node]: self._compact_row(node, direction)
-            for node in dirty_existing
+        graph, compact = self.graph, self.compact
+        if direction == "out":
+            adjacency = graph.out_neighbors
+        elif direction == "in":
+            adjacency = graph.in_neighbors
+        else:
+            adjacency = graph.neighbors
+        rows = {
+            compact[node]: [compact[v] for v in adjacency(node)]
+            for node in touched
         }
-        appended = [self._compact_row(node, direction) for node in new_ids]
-        return csr.with_updated_rows(
-            new_rows,
-            appended_rows=appended,
-            appended_node_ids=np.asarray(new_ids, dtype=np.int64),
-        )
+        return csr.with_updated_rows(rows, node_ids=self.node_ids)
 
     def apply_graph_updates(
         self, dirty_ids: Set[int], new_ids: Set[int]
@@ -179,7 +174,7 @@ class GraphAssets:
         cached/stored records must be rewritten and invalidated.
         """
         ordered_new = sorted(new_ids)
-        dirty_existing = sorted(dirty_ids - new_ids)
+        touched = sorted(dirty_ids | new_ids)
         if ordered_new:
             start = len(self.node_ids)
             self.node_ids = np.concatenate([
@@ -201,27 +196,15 @@ class GraphAssets:
                 self._owners[num_servers] = np.concatenate([owners, extra])
         if self._record_sizes is not None:
             sizes = self._record_sizes
-            for node in dirty_existing:
-                sizes[self.compact[node]] = (
-                    record_for_node(self.graph, node).size_bytes()
-                )
-            for node in ordered_new:
-                sizes[self.compact[node]] = (
-                    record_for_node(self.graph, node).size_bytes()
-                )
-        # Splice the materialised CSR views; lazily-built ones stay lazy
-        # (their next build sees the updated graph and node order).
-        self.csr_both = self._splice_csr(
-            self.csr_both, "both", dirty_existing, ordered_new
-        )
+            for node in touched:
+                sizes[self.compact[node]] = record_size(self.graph, node)
+        # Materialised CSR views move to their next version; lazily-built
+        # ones stay lazy (their build sees the updated graph and order).
+        self.csr_both = self._next_csr(self.csr_both, "both", touched)
         if self._csr_out is not None:
-            self._csr_out = self._splice_csr(
-                self._csr_out, "out", dirty_existing, ordered_new
-            )
+            self._csr_out = self._next_csr(self._csr_out, "out", touched)
         if self._csr_in is not None:
-            self._csr_in = self._splice_csr(
-                self._csr_in, "in", dirty_existing, ordered_new
-            )
+            self._csr_in = self._next_csr(self._csr_in, "in", touched)
         return np.array(
             sorted(self.compact[node] for node in dirty_ids), dtype=np.int64
         )

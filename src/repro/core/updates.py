@@ -12,7 +12,8 @@ through four layers, in simulated time where time is owed:
 
 1. **graph + assets** — the mutation lands in the
    :class:`~repro.graph.digraph.Graph`; compact indices stay append-stable
-   and only dirty adjacency rows are respliced into the CSR views
+   and each CSR view moves to a new version holding just the dirty rows,
+   O(dirty) per batch — queries in flight keep the version they captured
    (:meth:`~repro.core.assets.GraphAssets.apply_graph_updates`);
 2. **storage** — every dirty node's re-encoded, re-sized
    :class:`~repro.storage.records.AdjacencyRecord` is rewritten through

@@ -125,11 +125,9 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 0) -> Graph:
 
 def dataset_info(name: str, graph: Graph) -> DatasetInfo:
     """Table 1 row for a built graph (record bytes computed exactly)."""
-    from ..storage.records import record_for_node
+    from ..storage.records import record_size
 
-    record_bytes = sum(
-        record_for_node(graph, node).size_bytes() for node in graph.nodes()
-    )
+    record_bytes = sum(record_size(graph, node) for node in graph.nodes())
     return DatasetInfo(
         name=name,
         num_nodes=graph.num_nodes,

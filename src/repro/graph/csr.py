@@ -10,7 +10,7 @@ storage tier — CSR is purely an offline analysis accelerator.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -19,8 +19,27 @@ from .digraph import Graph
 UNREACHED = -1
 
 
+class _Pool:
+    """Append-only neighbour buffer shared by the versions of one CSR.
+
+    Entries below :attr:`used` are never rewritten, so a version's extents
+    stay valid however many later versions append behind them.
+    """
+
+    __slots__ = ("data", "used")
+
+    def __init__(self, data: np.ndarray, used: int) -> None:
+        self.data = data
+        self.used = used
+
+
 class CSRGraph:
-    """Immutable CSR adjacency with numpy-vectorised BFS.
+    """One immutable version of an extent CSR, with numpy-vectorised BFS.
+
+    Row ``i`` is the extent ``pool[starts[i]:starts[i] + lengths[i]]``.
+    A version never changes; :meth:`with_updated_rows` derives the next one in
+    O(dirty rows) by appending to the shared pool, so a reader holding an
+    older version keeps seeing exactly the graph it started on.
 
     Node ids are compacted to ``0..n-1`` in sorted order of the original
     ids; :attr:`node_ids` maps compact index back to the original id and
@@ -29,19 +48,24 @@ class CSRGraph:
 
     def __init__(
         self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        pool: _Pool,
         node_ids: np.ndarray,
-        index: Optional[dict] = None,
+        index: dict,
+        num_edges: int,
     ) -> None:
-        self.indptr = indptr
-        self.indices = indices
+        starts.setflags(write=False)
+        lengths.setflags(write=False)
+        self._starts = starts
+        self._lengths = lengths
+        self._pool = pool
+        self._data = pool.data.view()
+        self._data.setflags(write=False)
         self.node_ids = node_ids
-        self._index = (
-            index
-            if index is not None
-            else {int(nid): i for i, nid in enumerate(node_ids)}
-        )
+        self._index = index
+        #: Number of stored adjacency entries (directed rows).
+        self.num_edges = num_edges
 
     @classmethod
     def from_graph(
@@ -49,6 +73,7 @@ class CSRGraph:
         graph: Graph,
         direction: str = "both",
         node_ids: Optional[np.ndarray] = None,
+        index: Optional[dict] = None,
     ) -> "CSRGraph":
         """Build from a :class:`Graph`.
 
@@ -62,6 +87,9 @@ class CSRGraph:
         ``node_ids`` fixes the compact ordering instead of the default
         sorted order — live graph updates append new nodes at the end so
         compact indices (cache keys, record-size rows) stay stable.
+        ``index`` is the caller's ``{node id: compact index}`` map for
+        that ordering; it is held by reference, so several views can
+        share one append-only map.
         """
         if direction not in ("out", "in", "both"):
             raise ValueError(f"bad direction: {direction!r}")
@@ -72,125 +100,104 @@ class CSRGraph:
                 f"node_ids has {len(node_ids)} entries for a graph of "
                 f"{graph.num_nodes} nodes"
             )
-        index = {int(nid): i for i, nid in enumerate(node_ids)}
-        n = len(node_ids)
-        counts = np.zeros(n + 1, dtype=np.int64)
-        rows: List[Sequence[int]] = [()] * n
-        for nid in node_ids:
-            node = int(nid)
+        if index is None:
+            index = {nid: i for i, nid in enumerate(node_ids.tolist())}
+        lengths = np.zeros(len(node_ids), dtype=np.int64)
+        flat: List[int] = []
+        for i, node in enumerate(node_ids.tolist()):
             if direction == "out":
                 adj: Iterable[int] = graph.out_neighbors(node)
             elif direction == "in":
                 adj = graph.in_neighbors(node)
             else:
                 adj = graph.neighbors(node)
-            row = [index[v] for v in adj]
-            rows[index[node]] = row
-            counts[index[node] + 1] = len(row)
-        indptr = np.cumsum(counts)
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for i, row in enumerate(rows):
-            indices[indptr[i]:indptr[i + 1]] = row
-        return cls(indptr, indices, node_ids, index=index)
+            before = len(flat)
+            flat.extend([index[v] for v in adj])
+            lengths[i] = len(flat) - before
+        pool = _Pool(np.array(flat, dtype=np.int64), len(flat))
+        starts = np.cumsum(lengths) - lengths
+        return cls(starts, lengths, pool, node_ids, index, len(flat))
 
     def with_updated_rows(
         self,
-        new_rows: "dict[int, Sequence[int]]",
-        appended_rows: Sequence[Sequence[int]] = (),
-        appended_node_ids: Optional[np.ndarray] = None,
+        rows: Mapping[int, Sequence[int]],
+        node_ids: Optional[np.ndarray] = None,
     ) -> "CSRGraph":
-        """New CSR with some rows replaced and new nodes appended at the end.
+        """The next version: ``rows`` replaced, new nodes appended at the end.
 
-        Live graph updates dirty a handful of adjacency rows per batch; a
-        full :meth:`from_graph` rebuild is a Python loop over *every* node
-        and dominates update latency. This splice is O(edges) in numpy
-        memcpy plus O(dirty) Python: unchanged row *runs* between dirty
-        rows are copied with slice assignment, and only the dirty/new rows
-        (already translated to compact indices by the caller) are written
-        element-wise.
-
-        ``new_rows`` maps compact index -> replacement neighbor row (compact
-        indices); ``appended_rows`` are rows for brand-new nodes, whose ids
-        (``appended_node_ids``) extend :attr:`node_ids` in order.
+        ``rows`` maps compact index -> neighbor row (compact indices,
+        already translated by the caller). ``node_ids``, when nodes were
+        added, is :attr:`node_ids` extended by the new ids; their rows
+        are empty unless ``rows`` names them. The rows are appended to
+        the shared pool and only the new version's extents point at
+        them: O(dirty) plus two O(nodes) memcpys, nothing proportional
+        to the edge count. When the pool is full, the live rows are laid
+        out canonically into a fresh pool of twice their size —
+        amortised O(1) per entry appended, and a pool never holds more
+        than twice what was live when it was laid out; older versions
+        keep the buffer they read.
         """
         n_old = self.num_nodes
-        if len(appended_rows) != (
-            0 if appended_node_ids is None else len(appended_node_ids)
-        ):
-            raise ValueError("appended_rows and appended_node_ids disagree")
-        for idx in new_rows:
-            if not 0 <= idx < n_old:
-                raise ValueError(f"row {idx} out of range for {n_old} nodes")
-        counts = np.diff(self.indptr)
-        if appended_rows:
-            counts = np.concatenate([
-                counts, np.fromiter(
-                    (len(r) for r in appended_rows), dtype=np.int64,
-                    count=len(appended_rows),
-                ),
-            ])
-        else:
-            counts = counts.copy()
-        for idx, row in new_rows.items():
-            counts[idx] = len(row)
-        n_new = n_old + len(appended_rows)
-        indptr = np.zeros(n_new + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        # Copy unchanged runs between dirty rows in one slice each.
-        dirty = sorted(new_rows)
-        run_start = 0
-        for idx in dirty:
-            if idx > run_start:
-                length = int(self.indptr[idx] - self.indptr[run_start])
-                dest = int(indptr[run_start])
-                indices[dest:dest + length] = (
-                    self.indices[self.indptr[run_start]:self.indptr[idx]]
-                )
-            indices[indptr[idx]:indptr[idx + 1]] = new_rows[idx]
-            run_start = idx + 1
-        if run_start < n_old:
-            length = int(self.indptr[n_old] - self.indptr[run_start])
-            dest = int(indptr[run_start])
-            indices[dest:dest + length] = (
-                self.indices[self.indptr[run_start]:self.indptr[n_old]]
-            )
-        for offset, row in enumerate(appended_rows):
-            idx = n_old + offset
-            indices[indptr[idx]:indptr[idx + 1]] = row
-        if appended_rows:
-            node_ids = np.concatenate([
-                self.node_ids,
-                np.asarray(appended_node_ids, dtype=np.int64),
-            ])
-            index = dict(self._index)
-            for offset, nid in enumerate(appended_node_ids):
-                index[int(nid)] = n_old + offset
-        else:
+        if node_ids is None:
             node_ids = self.node_ids
-            index = self._index
-        return CSRGraph(indptr, indices, node_ids, index=index)
+        elif len(node_ids) < n_old:
+            raise ValueError(
+                f"node_ids has {len(node_ids)} entries, fewer than the "
+                f"{n_old} nodes it must extend"
+            )
+        n_new = len(node_ids)
+        for idx in rows:
+            if not 0 <= idx < n_new:
+                raise ValueError(f"row {idx} out of range for {n_new} nodes")
+        for idx, nid in enumerate(node_ids[n_old:].tolist(), n_old):
+            if self._index.setdefault(nid, idx) != idx:
+                raise ValueError(f"node {nid} is indexed at another row")
+        pad = np.zeros(n_new - n_old, dtype=np.int64)
+        lengths = np.concatenate([self._lengths, pad])
+        starts = self._starts
+        pool = self._pool
+        added = sum(map(len, rows.values()))
+        if pool.used + added > len(pool.data):
+            live = self._gather(np.arange(n_old))
+            data = np.empty(2 * (live.size + added), dtype=np.int64)
+            data[:live.size] = live
+            pool = _Pool(data, live.size)
+            starts = np.cumsum(self._lengths) - self._lengths
+        starts = np.concatenate([starts, pad])
+        num_edges = self.num_edges + added
+        cursor = pool.used
+        for idx, row in rows.items():
+            num_edges -= int(lengths[idx])
+            starts[idx] = cursor
+            lengths[idx] = len(row)
+            pool.data[cursor:cursor + len(row)] = row
+            cursor += len(row)
+        pool.used = cursor
+        return CSRGraph(starts, lengths, pool, node_ids, self._index, num_edges)
 
     @property
     def num_nodes(self) -> int:
         return len(self.node_ids)
 
-    @property
-    def num_edges(self) -> int:
-        """Number of stored adjacency entries (directed rows)."""
-        return int(self.indptr[-1])
-
     def index_of(self, node_id: int) -> int:
         """Compact index of an original node id."""
-        return self._index[node_id]
+        idx = self._index[node_id]
+        if idx >= len(self.node_ids):  # appended by a later version
+            raise KeyError(node_id)
+        return idx
 
     def degrees(self) -> np.ndarray:
         """Row lengths (degree in the chosen direction) per compact index."""
-        return np.diff(self.indptr)
+        return self._lengths
+
+    def degrees_of(self, frontier: np.ndarray) -> np.ndarray:
+        """Row length of each frontier node (compact indices)."""
+        return self._lengths[frontier]
 
     def neighbors_of(self, index: int) -> np.ndarray:
         """Compact-index neighbors of a compact-index node."""
-        return self.indices[self.indptr[index]:self.indptr[index + 1]]
+        start = self._starts[index]
+        return self._data[start:start + self._lengths[index]]
 
     def gather_neighbors(self, frontier: np.ndarray) -> np.ndarray:
         """Public alias of :meth:`_gather` for frontier expansion."""
@@ -198,15 +205,15 @@ class CSRGraph:
 
     def _gather(self, frontier: np.ndarray) -> np.ndarray:
         """All neighbors of every frontier node, concatenated (with dups)."""
-        starts = self.indptr[frontier]
-        counts = self.indptr[frontier + 1] - starts
+        starts = self._starts[frontier]
+        counts = self._lengths[frontier]
         total = int(counts.sum())
         if total == 0:
             return np.empty(0, dtype=np.int64)
         # Vectorised multi-slice gather: for each frontier node, the range
-        # [start, start+count) into `indices`, laid out back to back.
+        # [start, start+count) into the pool, laid out back to back.
         offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        return self.indices[np.arange(total) + offsets]
+        return self._data[np.arange(total) + offsets]
 
     def bfs_distances(
         self,

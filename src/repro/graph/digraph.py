@@ -10,7 +10,7 @@ by the smart-routing preprocessing (§3.4).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple, ValuesView
 
 NodeId = int
 Label = Optional[Hashable]
@@ -126,6 +126,16 @@ class Graph:
     def in_neighbors(self, node: NodeId) -> Iterable[NodeId]:
         self._require(node)
         return self._in[node].keys()
+
+    def out_labels(self, node: NodeId) -> ValuesView[Label]:
+        """Labels of ``node``'s out-edges, in :meth:`out_neighbors` order."""
+        self._require(node)
+        return self._out[node].values()
+
+    def in_labels(self, node: NodeId) -> ValuesView[Label]:
+        """Labels of ``node``'s in-edges, in :meth:`in_neighbors` order."""
+        self._require(node)
+        return self._in[node].values()
 
     def neighbors(self, node: NodeId) -> Iterator[NodeId]:
         """Bi-directed neighbors (out first, then in-only), deduplicated."""

@@ -122,6 +122,9 @@ class LandmarkIndex:
             self._extra_landmark[node_id] = vector
             self._extra_table[node_id] = self._table_row_from_vector(vector)
 
+    def _landmark_rows(self) -> Dict[int, int]:
+        return {node: row for row, node in enumerate(self.landmark_node_ids)}
+
     def _relaxed_vector(self, neighbor_ids: Iterable[int]) -> np.ndarray:
         """1 + elementwise-min over known neighbors' landmark vectors."""
         vector = np.full(self.num_landmarks, np.inf, dtype=np.float32)
@@ -159,13 +162,14 @@ class LandmarkIndex:
                 )
         if not affected:
             return
+        landmark_rows = self._landmark_rows()
         # Two relaxation passes propagate improvements across the patch.
         for _ in range(2):
             for node in sorted(affected):
                 vector = self._relaxed_vector(graph.neighbors(node))
-                if node in set(self.landmark_node_ids):
-                    vector = vector.copy()
-                    vector[self.landmark_node_ids.index(node)] = 0.0
+                row = landmark_rows.get(node)
+                if row is not None:
+                    vector[row] = 0.0
                 if added:
                     old = self.landmark_vector(node)
                     if old is not None:
@@ -192,9 +196,7 @@ class LandmarkIndex:
         nodes = sorted(n for n in set(node_ids) if n in graph)
         if not nodes:
             return 0
-        landmark_rows = {
-            node: row for row, node in enumerate(self.landmark_node_ids)
-        }
+        landmark_rows = self._landmark_rows()
         refreshed = 0
         for sweep in range(2):
             for node in nodes:

@@ -9,7 +9,12 @@ from .placement import (
     heat_by_server,
     pick_read_replica,
 )
-from .records import AdjacencyRecord, graph_to_records, record_for_node
+from .records import (
+    AdjacencyRecord,
+    graph_to_records,
+    record_for_node,
+    record_size,
+)
 from .server import StorageServer, StorageServerDown
 from .tier import (
     HOME,
@@ -41,4 +46,5 @@ __all__ = [
     "murmur_partitioner",
     "pick_read_replica",
     "record_for_node",
+    "record_size",
 ]

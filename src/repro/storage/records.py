@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, Tuple
 
 from ..graph.digraph import Graph
@@ -118,6 +119,24 @@ def record_for_node(graph: Graph, node: int) -> AdjacencyRecord:
         in_edges=in_edges,
         node_label=label if isinstance(label, str) or label is None else str(label),
     )
+
+
+def record_size(graph: Graph, node: int) -> int:
+    """``len(record_for_node(graph, node).encode())`` without building it.
+
+    Sizing every record is part of every service set-up and of every live
+    update, so it reads the adjacency dicts directly instead of
+    materialising two tuple lists per node.
+    """
+    out_labels, in_labels = graph.out_labels(node), graph.in_labels(node)
+    size = _HEADER.size + 2 + _ENTRY.size * (len(out_labels) + len(in_labels))
+    node_label = graph.node_label(node)
+    if node_label is not None:
+        size += len(str(node_label).encode("utf-8"))
+    for label in chain(out_labels, in_labels):
+        if label:
+            size += len(label.encode("utf-8"))
+    return size
 
 
 def graph_to_records(graph: Graph):

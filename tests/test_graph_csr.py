@@ -1,5 +1,6 @@
 """Tests for the CSR view: cross-checked against pure-Python traversal."""
 
+import numpy as np
 import pytest
 
 from repro.graph import (
@@ -148,3 +149,70 @@ class TestFrontiers:
         csr = CSRGraph.from_graph(g, direction="both")
         expected = len(k_hop_neighborhood(g, 0, 2))
         assert csr.neighborhood_size(csr.index_of(0), 2) == expected
+
+
+def rows_of(csr):
+    return [csr.neighbors_of(i).tolist() for i in range(csr.num_nodes)]
+
+
+class TestVersions:
+    @pytest.fixture
+    def path(self):
+        g = Graph()
+        g.add_edge(0, 1)
+        g.add_edge(1, 2)
+        return CSRGraph.from_graph(g, direction="out")
+
+    def test_with_rows_leaves_the_old_version_alone(self, path):
+        newer = path.with_updated_rows({0: [1, 2], 2: [0]})
+        assert rows_of(path) == [[1], [2], []]
+        assert rows_of(newer) == [[1, 2], [2], [0]]
+        assert (path.num_edges, newer.num_edges) == (2, 4)
+        assert newer.degrees().tolist() == [2, 1, 1]
+        assert newer.degrees_of(np.array([2, 0])).tolist() == [1, 2]
+        assert newer.gather_neighbors(np.array([2, 0])).tolist() == [0, 1, 2]
+
+    def test_appended_nodes_get_empty_rows_unless_named(self, path):
+        node_ids = np.append(path.node_ids, [7, 9])
+        newer = path.with_updated_rows({3: [0]}, node_ids=node_ids)
+        assert rows_of(newer) == [[1], [2], [], [0], []]
+        assert (newer.index_of(7), newer.index_of(9)) == (3, 4)
+        assert newer.bfs_distances([3]).tolist() == [1, 2, 3, 0, -1]
+        # The id map is shared and append-only, but a version only
+        # answers for the nodes it has.
+        assert path.num_nodes == 3
+        with pytest.raises(KeyError):
+            path.index_of(7)
+
+    def test_with_rows_validation(self, path):
+        with pytest.raises(ValueError, match="row 3 out of range for 3 nodes"):
+            path.with_updated_rows({3: [0]})
+        with pytest.raises(ValueError, match="fewer than the 3 nodes"):
+            path.with_updated_rows({}, node_ids=path.node_ids[:2])
+        with pytest.raises(ValueError, match="node 0 is indexed at another row"):
+            path.with_updated_rows({}, node_ids=np.append(path.node_ids, 0))
+
+    def test_reads_cannot_write_into_a_version(self, path):
+        with pytest.raises(ValueError, match="read-only"):
+            path.neighbors_of(0)[0] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            path.degrees()[0] = 5
+
+    def test_versions_share_the_pool_until_it_is_full(self, path):
+        # White box: the first update finds the exact-fit pool full and
+        # lays the rows out into one twice as large; later versions append
+        # to it, each behind everything any version wrote — so deriving
+        # twice from one version cannot clobber the first derivation.
+        second = path.with_updated_rows({0: [2]})
+        assert second._pool is not path._pool
+        assert len(second._pool.data) == 2 * (2 + 1)
+        third = second.with_updated_rows({1: [0]})
+        sibling = second.with_updated_rows({1: [1]})
+        assert third._pool is second._pool is sibling._pool
+        assert rows_of(second) == [[2], [2], []]
+        assert rows_of(third) == [[2], [0], []]
+        assert rows_of(sibling) == [[2], [1], []]
+        full = sibling.with_updated_rows({2: [0, 1]})
+        assert full._pool is not second._pool
+        assert rows_of(full) == [[2], [1], [0, 1]]
+        assert rows_of(path) == [[1], [2], []]

@@ -18,6 +18,12 @@ def ring_graph(n=12):
     return graph
 
 
+def csr_rows(csr):
+    """Every row through the public API, order included — walks sample
+    ``row[rng]``, so row order is part of the contract."""
+    return [csr.neighbors_of(i).tolist() for i in range(csr.num_nodes)]
+
+
 def _config(routing="hash", **kwargs):
     defaults = dict(
         num_processors=3,
@@ -156,10 +162,7 @@ class TestAssetsLiveUpdate:
                 rebuilt = CSRGraph.from_graph(
                     graph, direction=direction, node_ids=assets.node_ids
                 )
-                assert np.array_equal(view.indptr, rebuilt.indptr)
-                # Row contents must match as sets (bi-directed dedup order
-                # is reproduced exactly by the splice, so compare exact).
-                assert np.array_equal(view.indices, rebuilt.indices)
+                assert csr_rows(view) == csr_rows(rebuilt)
                 assert np.array_equal(view.node_ids, rebuilt.node_ids)
 
     def test_record_sizes_track_adjacency_growth(self):
@@ -200,6 +203,29 @@ class TestServiceLiveUpdates:
                 assert {q1.query_id, q2.query_id, q3.query_id} <= {
                     r.query_id for r in session.records
                 }
+
+    def test_query_in_flight_across_update_answers_its_start_graph(self):
+        # Executors capture the CSR views once, size their visited arrays
+        # from them and keep them across yields: a view that changed
+        # under a running query would change its answer (or index out of
+        # range once a node is appended).
+        graph = ring_graph(12)
+        with GraphService.open(graph, _config("hash")) as service:
+            with service.session() as session:
+                session.submit(NeighborAggregationQuery(node=0, hops=3))
+                while sum(s.keys_served for s in service.tier.servers) == 0:
+                    service.env.step()  # until its first fetch was served
+                session.apply_updates([
+                    GraphUpdate.add_edge(0, 6), GraphUpdate.add_edge(50, 1),
+                ])
+                assert session.completed == 0  # still running
+                session.drain()
+                # The ring as of its start: {1, 2, 3, 9, 10, 11}.
+                assert session.records[-1].stats.result == 6
+                session.submit(NeighborAggregationQuery(node=0, hops=3))
+                session.drain()
+                # Everyone but 0 itself, the new node 50 included.
+                assert session.records[-1].stats.result == 12
 
     def test_update_report_and_cumulative_counters(self):
         graph = ring_graph(12)

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from repro.core.cache import ProcessorCache
 from repro.embedding import batch_nelder_mead, nelder_mead
 from repro.graph import CSRGraph, Graph, bfs_distances
-from repro.storage import AdjacencyRecord, LogStructuredStore, murmur3_32
+from repro.storage import (
+    AdjacencyRecord,
+    LogStructuredStore,
+    murmur3_32,
+    record_for_node,
+    record_size,
+)
 
 # ---------------------------------------------------------------------------
 # Cache invariants
@@ -102,6 +108,25 @@ class TestRecordProperties:
     def test_size_bytes_is_exact(self, node, out_edges, in_edges):
         record = AdjacencyRecord(node, out_edges, in_edges)
         assert record.size_bytes() == len(record.encode())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        node_label=st.one_of(labels, st.integers()),
+        out_edges=st.dictionaries(st.integers(0, 30), labels, max_size=10),
+        in_edges=st.dictionaries(st.integers(0, 30), labels, max_size=10),
+    )
+    def test_record_size_equals_encoded_length(self, node_label, out_edges,
+                                               in_edges):
+        graph = Graph()
+        graph.add_node(7, node_label)
+        for v, label in out_edges.items():
+            graph.add_edge(7, v, label)
+        for u, label in in_edges.items():
+            graph.add_edge(u, 7, label)
+        for node in graph.nodes():
+            assert record_size(graph, node) == len(
+                record_for_node(graph, node).encode())
+
 
 
 # ---------------------------------------------------------------------------
