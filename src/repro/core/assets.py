@@ -29,12 +29,13 @@ from ..embedding import GraphEmbedding
 from ..graph.csr import CSRGraph
 from ..graph.digraph import Graph
 from ..landmarks import LandmarkDistances, LandmarkIndex, select_landmarks
-from ..landmarks.assignment import (
-    assign_landmarks_to_processors,
-    node_processor_distances,
-)
-from ..storage.murmur import hash_node_id
+from ..storage.murmur import hash_node_ids
 from ..storage.records import record_size
+
+
+def _owners_of(node_ids: np.ndarray, num_servers: int) -> np.ndarray:
+    """Home storage server of each node id (MurmurHash3 mod M)."""
+    return (hash_node_ids(node_ids) % num_servers).astype(np.int32)
 
 
 class GraphAssets:
@@ -98,10 +99,7 @@ class GraphAssets:
         """Storage server owning each compact node (MurmurHash3 mod M)."""
         owners = self._owners.get(num_servers)
         if owners is None:
-            owners = np.array(
-                [hash_node_id(int(n)) % num_servers for n in self.node_ids],
-                dtype=np.int32,
-            )
+            owners = _owners_of(self.node_ids, num_servers)
             self._owners[num_servers] = owners
         return owners
 
@@ -127,19 +125,8 @@ class GraphAssets:
         key = (num_processors, num_landmarks, min_separation)
         if key not in self._landmark_indexes:
             distances = self.landmark_distances(num_landmarks, min_separation)
-            groups = assign_landmarks_to_processors(
-                distances.pair_matrix(), num_processors
-            )
-            table = node_processor_distances(distances.matrix, groups)
-            landmark_node_ids = [
-                int(self.node_ids[l]) for l in distances.landmarks
-            ]
-            self._landmark_indexes[key] = LandmarkIndex(
-                self.node_ids,
-                landmark_node_ids,
-                distances.matrix,
-                groups,
-                table,
+            self._landmark_indexes[key] = LandmarkIndex.build(
+                self.graph, num_processors, csr=self.csr_both, distances=distances
             )
         return self._landmark_indexes[key]
 
@@ -177,10 +164,8 @@ class GraphAssets:
         touched = sorted(dirty_ids | new_ids)
         if ordered_new:
             start = len(self.node_ids)
-            self.node_ids = np.concatenate([
-                self.node_ids,
-                np.asarray(ordered_new, dtype=np.int64),
-            ])
+            new_ids_array = np.asarray(ordered_new, dtype=np.int64)
+            self.node_ids = np.concatenate([self.node_ids, new_ids_array])
             for offset, node in enumerate(ordered_new):
                 self.compact[node] = start + offset
             if self._record_sizes is not None:
@@ -189,10 +174,7 @@ class GraphAssets:
                     np.zeros(len(ordered_new), dtype=np.int64),
                 ])
             for num_servers, owners in self._owners.items():
-                extra = np.array(
-                    [hash_node_id(n) % num_servers for n in ordered_new],
-                    dtype=np.int32,
-                )
+                extra = _owners_of(new_ids_array, num_servers)
                 self._owners[num_servers] = np.concatenate([owners, extra])
         if self._record_sizes is not None:
             sizes = self._record_sizes

@@ -23,18 +23,20 @@ from .simplex import batch_nelder_mead, nelder_mead
 _CHUNK = 4096  # nodes embedded per batch (bounds peak memory)
 
 
-def _finite_pair_matrix(pair_matrix: np.ndarray) -> np.ndarray:
-    """Hop distances with UNREACHABLE mapped to (max finite + 2)."""
-    out = pair_matrix.astype(np.float64).copy()
-    unreachable = out == UNREACHABLE
-    finite_max = out[~unreachable].max() if (~unreachable).any() else 1.0
-    out[unreachable] = finite_max + 2.0
+def _finite_distances(hop_distances: np.ndarray) -> np.ndarray:
+    """Float copy with UNREACHABLE mapped to (max finite + 2)."""
+    out = hop_distances.astype(np.float64)
+    # UNREACHABLE sits below every hop distance: max() is the finite max.
+    finite_max = out.max(initial=UNREACHABLE)
+    if finite_max == UNREACHABLE:
+        finite_max = 1.0
+    out[out == UNREACHABLE] = finite_max + 2.0
     return out
 
 
 def classical_mds(pair_matrix: np.ndarray, dim: int) -> np.ndarray:
     """Classical (Torgerson) MDS of a distance matrix — ``(L, dim)``."""
-    d = _finite_pair_matrix(pair_matrix)
+    d = _finite_distances(pair_matrix)
     num = d.shape[0]
     squared = d**2
     centering = np.eye(num) - np.full((num, num), 1.0 / num)
@@ -71,7 +73,7 @@ def embed_landmarks(
     landmark's ``dim`` coordinates against the others with Nelder–Mead,
     minimizing the summed relative error of Eq. 4.
     """
-    target = _finite_pair_matrix(pair_matrix)
+    target = _finite_distances(pair_matrix)
     np.fill_diagonal(target, 1.0)  # placeholder; diagonal never used
     coords = classical_mds(pair_matrix, dim)
     num = coords.shape[0]
@@ -107,10 +109,7 @@ def lmds_triangulate(
     allowed). Linearises ``||x - l_i||^2 - ||x - l_0||^2`` into a common
     ``(L-1, dim)`` system solved for every node simultaneously.
     """
-    dists = node_landmark_dists.astype(np.float64).copy()
-    unreachable = dists == UNREACHABLE
-    finite_max = dists[~unreachable].max() if (~unreachable).any() else 1.0
-    dists[unreachable] = finite_max + 2.0
+    dists = _finite_distances(node_landmark_dists)
 
     l0 = landmark_coords[0]
     rest = landmark_coords[1:]
@@ -167,7 +166,7 @@ class GraphEmbedding:
         self.coords = coords.astype(np.float64)
         self.landmark_node_ids = landmark_node_ids
         self.landmark_coords = landmark_coords.astype(np.float64)
-        self._row: Dict[int, int] = {int(n): i for i, n in enumerate(node_ids)}
+        self._row: Dict[int, int] = {n: i for i, n in enumerate(node_ids.tolist())}
         self._extra: Dict[int, np.ndarray] = {}
 
     # -- construction -------------------------------------------------------

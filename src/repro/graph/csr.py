@@ -1,11 +1,12 @@
 """Compressed-sparse-row view of a graph with vectorised traversals.
 
-Landmark preprocessing runs |L| full breadth-first searches and the workload
+Landmark preprocessing needs |L| full breadth-first searches and the workload
 generator samples thousands of h-hop neighbourhoods. Pure-Python BFS would
 dominate experiment runtime, so analysis-side traversals run on a CSR array
-view with numpy frontier expansion. The simulated *cluster* never touches
-this class — query processors work on adjacency records fetched from the
-storage tier — CSR is purely an offline analysis accelerator.
+view: numpy frontier expansion for one search, one bit-parallel sweep for
+many. The simulated *cluster* never touches this class — query processors
+work on adjacency records fetched from the storage tier — CSR is purely an
+offline analysis accelerator.
 """
 
 from __future__ import annotations
@@ -229,20 +230,77 @@ class CSRGraph:
         if frontier.size == 0:
             return dist
         dist[frontier] = 0
+        # Marks read back in index order: the sorted, unique next frontier.
+        fresh_mask = np.zeros(self.num_nodes, dtype=bool)
         hops = 0
         while frontier.size:
             if max_hops is not None and hops >= max_hops:
                 break
             hops += 1
             neighbors = self._gather(frontier)
-            if neighbors.size == 0:
-                break
-            fresh = np.unique(neighbors[dist[neighbors] == UNREACHED])
+            fresh_mask[neighbors[dist[neighbors] == UNREACHED]] = True
+            fresh = np.flatnonzero(fresh_mask)
             if fresh.size == 0:
                 break
+            fresh_mask[fresh] = False
             dist[fresh] = hops
             frontier = fresh
         return dist
+
+    def multi_source_distances(self, sources: Sequence[int]) -> np.ndarray:
+        """Hop distances from *each* of ``sources`` to every node, at once.
+
+        Returns ``int32 (len(sources), n)``; row ``i`` equals
+        ``bfs_distances([sources[i]])``. Every source owns one bit of a
+        ``uint64`` label word and each level ORs, per node, the frontier
+        words of the nodes that list it: ``ceil(len(sources) / 64)`` passes
+        over the edges per level instead of one BFS per source (after Fan
+        et al.'s batched reachability, see PAPERS.md).
+        """
+        n = self.num_nodes
+        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+        slots = np.arange(sources.size)
+        words = -(-sources.size // 64)
+        # The canonical edge list (pool extents are not contiguous after
+        # live updates) regrouped by target: v pulls from every u naming it.
+        # reduceat yields the element *at* the index for an empty segment,
+        # so nodes nobody names stay out of the reduction.
+        targets = self._gather(np.arange(n))
+        order = np.argsort(targets, kind="stable")
+        origins = np.repeat(np.arange(n), self._lengths)[order]
+        indegrees = np.bincount(targets, minlength=n)
+        pulling = np.flatnonzero(indegrees)
+        segments = (np.cumsum(indegrees) - indegrees)[pulling]
+
+        frontier = np.zeros((n, words), dtype=np.uint64)
+        bits = np.uint64(1) << (slots % 64).astype(np.uint64)
+        np.bitwise_or.at(frontier, (sources, slots // 64), bits)
+        seen = frontier.copy()
+
+        def unseen_bits() -> np.ndarray:  # (n, 64 * words); column = source
+            unseen = (~seen).astype("<u8", copy=False).view(np.uint8)
+            return np.unpackbits(unseen, axis=1, bitorder="little")
+
+        # A node d hops away sits out levels 0..d-1: its count of unseen
+        # levels is its distance (uint8 tally, folded before it can wrap).
+        dist = np.zeros((n, 64 * words), dtype=np.int32)
+        tally = np.zeros((n, 64 * words), dtype=np.uint8)
+        levels = 0
+        while frontier.any():
+            tally += unseen_bits()
+            levels += 1
+            if levels % 255 == 0:
+                dist += tally
+                tally[:] = 0
+            pulled = np.zeros_like(frontier)
+            pulled[pulling] = np.bitwise_or.reduceat(
+                np.take(frontier, origins, axis=0), segments, axis=0
+            )
+            frontier = pulled & ~seen
+            seen |= frontier
+        dist += tally
+        dist[unseen_bits().view(bool)] = UNREACHED
+        return np.ascontiguousarray(dist[:, :sources.size].T)
 
     def k_hop_frontiers(self, source: int, hops: int) -> List[np.ndarray]:
         """Per-hop frontiers from ``source``: ``[hop1, hop2, ...]``.
@@ -262,9 +320,3 @@ class CSRGraph:
         """|N_h(source)| — nodes within ``hops`` hops, excluding the source."""
         dist = self.bfs_distances([source], max_hops=hops)
         return int(((dist > 0) & (dist <= hops)).sum())
-
-    def eccentricity_lower_bound(self, source: int) -> int:
-        """Largest finite BFS distance from ``source``."""
-        dist = self.bfs_distances([source])
-        reached = dist[dist >= 0]
-        return int(reached.max()) if reached.size else 0

@@ -36,7 +36,7 @@ class LandmarkIndex:
         self.node_ids = node_ids
         self.landmark_node_ids = landmark_node_ids
         self.groups = groups
-        self._row: Dict[int, int] = {int(n): i for i, n in enumerate(node_ids)}
+        self._row: Dict[int, int] = {n: i for i, n in enumerate(node_ids.tolist())}
         # Distances as float32 with +inf for "unreachable": uniform math for
         # the base matrix and incremental overlays.
         base = landmark_matrix.astype(np.float32)
@@ -55,23 +55,27 @@ class LandmarkIndex:
         num_landmarks: int = 96,
         min_separation: int = 3,
         csr: Optional[CSRGraph] = None,
+        distances: Optional[LandmarkDistances] = None,
     ) -> "LandmarkIndex":
         """Full preprocessing pass over ``graph``.
 
         Pass a prebuilt bi-directed ``csr`` to avoid rebuilding it when the
-        caller already has one (benchmark harnesses reuse it heavily).
+        caller already has one (benchmark harnesses reuse it heavily), and
+        the ``distances`` computed over it to share one landmark table with
+        an embedding (its landmarks are used; none are selected here).
         """
         if csr is None:
             csr = CSRGraph.from_graph(graph, direction="both")
-        landmarks = select_landmarks(csr, num_landmarks, min_separation)
-        if not landmarks:
+        if distances is None:
+            landmarks = select_landmarks(csr, num_landmarks, min_separation)
+            distances = LandmarkDistances.compute(csr, landmarks)
+        if not distances.landmarks:
             raise ValueError("graph yielded no usable landmarks")
-        distances = LandmarkDistances.compute(csr, landmarks)
         groups = assign_landmarks_to_processors(
             distances.pair_matrix(), num_processors
         )
         table = node_processor_distances(distances.matrix, groups)
-        landmark_node_ids = [int(csr.node_ids[l]) for l in landmarks]
+        landmark_node_ids = [int(csr.node_ids[l]) for l in distances.landmarks]
         return cls(csr.node_ids, landmark_node_ids, distances.matrix, groups, table)
 
     # -- lookups ------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Decoupled storage tier: RAMCloud-like partitioned key-value store."""
 
 from .kvstore import KVStoreError, LogStructuredStore
-from .murmur import hash_node_id, murmur3_32
+from .murmur import hash_node_id, hash_node_ids, murmur3_32
 from .placement import (
     HeatTracker,
     Placement,
@@ -40,6 +40,7 @@ __all__ = [
     "UNCHANGED",
     "graph_to_records",
     "hash_node_id",
+    "hash_node_ids",
     "heat_by_server",
     "modulo_partitioner",
     "murmur3_32",

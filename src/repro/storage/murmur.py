@@ -2,12 +2,15 @@
 partition keys across storage servers (paper §4.1 names MurmurHash3).
 
 Pure-Python reference implementation; verified against the canonical
-test vectors in the test suite.
+test vectors in the test suite. :func:`hash_node_ids` is the same hash of
+a whole id array in ``uint32`` lanes, checked against the reference.
 """
 
 from __future__ import annotations
 
 import struct
+
+import numpy as np
 
 _MASK32 = 0xFFFFFFFF
 _C1 = 0xCC9E2D51
@@ -61,3 +64,17 @@ def murmur3_32(data: bytes, seed: int = 0) -> int:
 def hash_node_id(node_id: int, seed: int = 0) -> int:
     """Hash an integer node id (little-endian 8-byte encoding)."""
     return murmur3_32(struct.pack("<q", node_id), seed)
+
+
+def hash_node_ids(ids: np.ndarray) -> np.ndarray:
+    """:func:`hash_node_id` (seed 0) of every id in an ``int64`` array.
+
+    The 8-byte little-endian key is two body blocks (its ``uint32``
+    halves) and no tail; ``uint32`` arrays wrap modulo 2**32 by themselves.
+    """
+    keys = np.asarray(ids, dtype=np.int64).astype(np.uint64)
+    h = np.zeros(keys.shape, dtype=np.uint32)
+    for k in (keys.astype(np.uint32), (keys >> 32).astype(np.uint32)):
+        h ^= _rotl32(k * _C1, 15) * _C2
+        h = _rotl32(h, 13) * 5 + 0xE6546B64
+    return _fmix32(h ^ 8)  # 8 = key length

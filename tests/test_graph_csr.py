@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     CSRGraph,
@@ -117,6 +119,132 @@ class TestBfs:
         csr = CSRGraph.from_graph(g, direction="out")
         dist = csr.bfs_distances([csr.index_of(2)])
         assert dist[csr.index_of(0)] == -1
+
+
+def python_distances(graph, csr, source, direction, max_hops=None):
+    """Row of hop distances from the pure-Python reference BFS."""
+    reached = bfs_distances(
+        graph, int(csr.node_ids[source]), max_hops=max_hops, direction=direction
+    )
+    return [reached.get(nid, -1) for nid in csr.node_ids.tolist()]
+
+
+def sparse_digraph(num_nodes, edges, isolated):
+    """Nodes ``0..num_nodes-1``; edges touching ``isolated`` are dropped,
+    so empty rows can sit first, last and in runs."""
+    graph = Graph()
+    for node in range(num_nodes):
+        graph.add_node(node)
+    for u, v in edges:
+        u, v = u % num_nodes, v % num_nodes
+        if u != v and u not in isolated and v not in isolated:
+            graph.add_edge(u, v)
+    return graph
+
+
+digraphs = st.builds(
+    sparse_digraph,
+    st.integers(min_value=1, max_value=24),
+    st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=40),
+    st.sets(st.integers(0, 23), max_size=12),
+)
+
+
+class TestMultiSourceDistances:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        graph=digraphs,
+        direction=st.sampled_from(["out", "in", "both"]),
+        picks=st.lists(st.integers(0, 23), max_size=5),
+        count=st.sampled_from([None, 1, 63, 64, 65, 130]),
+    )
+    # Two components between isolated runs; first and last rows empty.
+    @example(
+        graph=sparse_digraph(10, [(2, 3), (3, 2), (6, 7)], {0, 1, 4, 5, 8, 9}),
+        direction="out", picks=[2, 7, 0, 2], count=65,
+    )
+    @example(graph=sparse_digraph(3, [], set()), direction="both",
+             picks=[1], count=64)
+    def test_equals_one_bfs_per_source(self, graph, direction, picks, count):
+        csr = CSRGraph.from_graph(graph, direction=direction)
+        sources = [p % csr.num_nodes for p in picks]
+        if count is not None and sources:  # duplicates fill the words
+            sources = [sources[i % len(sources)] for i in range(count)]
+        got = csr.multi_source_distances(sources)
+        assert got.dtype == np.int32
+        assert got.shape == (len(sources), csr.num_nodes)
+        for row, source in zip(got, sources, strict=True):
+            assert row.tolist() == csr.bfs_distances([source]).tolist()
+            assert row.tolist() == python_distances(graph, csr, source, direction)
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+    def test_word_boundaries_with_distinct_sources(self, random_graph, count):
+        csr = CSRGraph.from_graph(random_graph, direction="out")
+        sources = list(range(count))
+        got = csr.multi_source_distances(sources)
+        want = np.stack([csr.bfs_distances([s]) for s in sources])
+        assert np.array_equal(got, want)
+
+    def test_more_levels_than_a_uint8_tally_holds(self):
+        chain = Graph()
+        for node in range(600):
+            chain.add_edge(node, node + 1)
+        csr = CSRGraph.from_graph(chain, direction="out")
+        got = csr.multi_source_distances([0, 300, 600])
+        assert got[0].tolist() == list(range(601))
+        assert got[1].tolist() == [-1] * 300 + list(range(301))
+        assert got[2].tolist() == [-1] * 600 + [0]
+
+    def test_on_a_version_after_a_pool_relay(self):
+        g = Graph()
+        g.add_edge(0, 1)
+        g.add_edge(1, 2)
+        g.add_node(3)
+        first = CSRGraph.from_graph(g, direction="out")
+        # 2 pooled entries; three more force a re-lay, then rows 0 and 3
+        # live behind the canonical block, out of row order.
+        relaid = first.with_updated_rows({3: [0], 0: [2, 1]})
+        newest = relaid.with_updated_rows(
+            {1: []}, node_ids=np.append(relaid.node_ids, [9, 8])
+        )
+        for version, rows in (
+            (first, [[1], [2], [], []]),
+            (relaid, [[2, 1], [2], [], [0]]),
+            (newest, [[2, 1], [], [], [0], [], []]),
+        ):
+            assert rows_of(version) == rows
+            everyone = list(range(version.num_nodes))
+            got = version.multi_source_distances(everyone)
+            want = np.stack([version.bfs_distances([s]) for s in everyone])
+            assert np.array_equal(got, want)
+        assert newest.multi_source_distances([3]).tolist() == [[1, 2, 2, 0, -1, -1]]
+
+    def test_no_sources(self, random_graph):
+        csr = CSRGraph.from_graph(random_graph, direction="both")
+        got = csr.multi_source_distances([])
+        assert got.shape == (0, csr.num_nodes) and got.dtype == np.int32
+
+    def test_source_out_of_range(self, random_graph):
+        csr = CSRGraph.from_graph(random_graph, direction="both")
+        with pytest.raises(IndexError):
+            csr.multi_source_distances([csr.num_nodes])
+
+
+class TestMaskedBfs:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graph=digraphs,
+        direction=st.sampled_from(["out", "in", "both"]),
+        pick=st.integers(0, 23),
+    )
+    def test_every_hop_bound_matches_python_bfs(self, graph, direction, pick):
+        csr = CSRGraph.from_graph(graph, direction=direction)
+        source = pick % csr.num_nodes
+        for max_hops in (None, *range(csr.num_nodes + 1)):
+            got = csr.bfs_distances([source], max_hops=max_hops)
+            assert got.tolist() == python_distances(
+                graph, csr, source, direction, max_hops
+            )
 
 
 class TestFrontiers:

@@ -1,8 +1,14 @@
 """Tests for landmark selection, distances, assignment and the index."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import GraphAssets
+from repro.datasets import webgraph_like
 from repro.graph import CSRGraph, Graph, barabasi_albert, ring_of_cliques
 from repro.graph.traversal import bfs_distances
 from repro.landmarks import (
@@ -108,6 +114,44 @@ class TestLandmarkDistances:
             if true is None:
                 continue
             assert lower <= true <= upper
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_nodes=st.integers(min_value=2, max_value=30),
+        edges=st.lists(
+            st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=45
+        ),
+        num_landmarks=st.integers(min_value=1, max_value=8),
+    )
+    def test_matrix_and_eq2_bounds_against_true_distances(
+        self, num_nodes, edges, num_landmarks
+    ):
+        """|d(u,l) - d(v,l)| <= d(u,v) <= d(u,l) + d(l,v) (paper Eq. 2) on
+        graphs with isolated nodes and several components."""
+        graph = Graph()
+        for node in range(num_nodes):
+            graph.add_node(node)
+        for u, v in edges:
+            if u % num_nodes != v % num_nodes:
+                graph.add_edge(u % num_nodes, v % num_nodes)
+        csr = CSRGraph.from_graph(graph, direction="both")
+        landmarks = select_landmarks(csr, num_landmarks, min_separation=1)
+        table = LandmarkDistances.compute(csr, landmarks)
+        true = [
+            bfs_distances(graph, u, direction="both") for u in range(num_nodes)
+        ]
+        for row, landmark in enumerate(landmarks):
+            assert table.matrix[row].tolist() == [
+                true[landmark].get(v, UNREACHABLE) for v in range(num_nodes)
+            ]
+        for u in range(num_nodes):
+            for v in range(num_nodes):
+                lower, upper = table.triangle_bounds(u, v)
+                if v in true[u]:
+                    assert lower <= true[u][v]
+                    assert upper == UNREACHABLE or true[u][v] <= upper
+                else:  # no landmark can reach both sides of a cut
+                    assert (lower, upper) == (0, UNREACHABLE)
 
     def test_storage_bytes_linear_in_nodes(self, scale_free):
         _graph, csr = scale_free
@@ -282,6 +326,35 @@ class TestLandmarkIndex:
         assert (after <= before).all()
         assert (after < before).any()
 
+    def test_build_from_shared_distances(self, scale_free):
+        graph, csr = scale_free
+        built = LandmarkIndex.build(graph, num_processors=3, num_landmarks=9,
+                                    min_separation=2)
+        distances = LandmarkDistances.compute(
+            csr, select_landmarks(csr, 9, min_separation=2)
+        )
+        shared = LandmarkIndex.build(graph, num_processors=3, csr=csr,
+                                     distances=distances)
+        assert shared.landmark_node_ids == built.landmark_node_ids
+        assert shared.groups == built.groups
+        for node in (0, 7, 399):
+            assert np.array_equal(shared.processor_distances(node),
+                                  built.processor_distances(node))
+            assert np.array_equal(shared.landmark_vector(node),
+                                  built.landmark_vector(node))
+
+    def test_row_map_does_not_grow_with_the_assets_id_map(self):
+        g = Graph()
+        for u in range(6):
+            g.add_edge(u, u + 1)
+        assets = GraphAssets(g)
+        index = assets.landmark_index(num_processors=2, num_landmarks=2,
+                                      min_separation=2)
+        g.add_edge(6, 50)
+        assets.apply_graph_updates({6, 50}, {50})
+        assert 50 in assets.compact
+        assert not index.knows(50)
+
     def test_storage_bytes_counts_table(self, clique_ring):
         graph, _csr = clique_ring
         index = LandmarkIndex.build(graph, num_processors=4, num_landmarks=6,
@@ -372,3 +445,43 @@ class TestRefreshAndClone:
         copy.refresh_nodes(g, [0, 11])
         assert np.array_equal(index.landmark_vector(11), before)
         assert copy.processor_distances(500) is not None
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(values, dtype=np.int64).tobytes()
+    ).hexdigest()
+
+
+class TestPinnedRoutingInputs:
+    """What routing sees of webgraph (scale 0.05, seed 1), by sha256.
+
+    Recorded at 06f290d, before preprocessing became one bit-parallel
+    pass. Integers only — embedding floats depend on the BLAS build — so
+    an "optimisation" that changes a landmark, a hop distance, a
+    processor group or a record's home server fails here, in seconds.
+    """
+
+    PINNED = {
+        "landmark_node_ids":
+            "7bbeaf2cdbe74400512bf702ec2ea77ab8edd7084d51939679e0d7bf65762529",
+        "distance_matrix":
+            "9a9f17fb2746aa6669919ee0e53157c8dff4491724529dfe2a00c9215431c718",
+        "processor_groups":
+            "95ea0c943e83b87d665683f52d589b5ba79dc18ea830635247171f1f45933a0b",
+        "owner_array_4":
+            "0536d330473825f845e9dacc7963f75715780d2388d9262f21f273d4b0d1bdb7",
+    }
+
+    def test_preprocessing_outputs_are_unchanged(self):
+        assets = GraphAssets(webgraph_like(scale=0.05, seed=1))
+        index = assets.landmark_index(num_processors=7)
+        matrix = assets.landmark_distances().matrix
+        assert matrix.dtype == np.int32 and matrix.shape == (17, 1654)
+        groups = [[p, l] for p, group in enumerate(index.groups) for l in group]
+        assert {
+            "landmark_node_ids": _sha256(index.landmark_node_ids),
+            "distance_matrix": _sha256(matrix),
+            "processor_groups": _sha256(groups),
+            "owner_array_4": _sha256(assets.owner_array(4)),
+        } == self.PINNED

@@ -1,8 +1,11 @@
 """MurmurHash3 verified against the canonical test vectors."""
 
+import numpy as np
 import pytest
 
-from repro.storage import hash_node_id, murmur3_32
+from repro.core import GraphAssets
+from repro.datasets import webgraph_like
+from repro.storage import hash_node_id, hash_node_ids, murmur3_32
 
 
 # Canonical vectors for MurmurHash3 x86 32-bit (from the reference
@@ -53,3 +56,27 @@ def test_hash_node_id_negative_ids():
     # Node ids are signed; hashing must accept the full int64 range.
     assert 0 <= hash_node_id(-1) < 2**32
     assert hash_node_id(-1) != hash_node_id(1)
+
+
+def test_hash_node_ids_equals_the_scalar_reference():
+    rng = np.random.default_rng(5)
+    ids = np.concatenate([
+        np.array([0, 1, -1, -2**63, 2**63 - 1, 2**32 - 1, 2**32, -2**32]),
+        rng.integers(-2**63, 2**63 - 1, size=2000, endpoint=True),
+        rng.integers(0, 100_000, size=500),
+    ]).astype(np.int64)
+    hashed = hash_node_ids(ids)
+    assert hashed.dtype == np.uint32
+    assert hashed.tolist() == [hash_node_id(n) for n in ids.tolist()]
+    assert hash_node_ids(np.empty(0, dtype=np.int64)).shape == (0,)
+    # Strided input: the lanes are computed from values, not from memory.
+    assert hash_node_ids(ids[::3]).tolist() == hashed[::3].tolist()
+
+
+def test_owner_array_equals_scalar_hash_mod_servers():
+    assets = GraphAssets(webgraph_like(scale=0.05, seed=1))
+    owners = assets.owner_array(4)
+    assert owners.dtype == np.int32
+    assert owners.tolist() == [
+        hash_node_id(n) % 4 for n in assets.node_ids.tolist()
+    ]
