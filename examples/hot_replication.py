@@ -29,7 +29,7 @@ from repro.bench import bench_scale
 from repro.core import PlacementConfig
 from repro.datasets import webgraph_like
 from repro.graph import Graph
-from repro.workloads import shifting_hotspot_workload
+from repro.workloads import shifting_hotspot_stream
 
 
 def serving_lifecycle() -> None:
@@ -55,10 +55,10 @@ def serving_lifecycle() -> None:
         embed_method="lmds", placement=placement,
     )
 
-    workload = shifting_hotspot_workload(
+    workload = list(shifting_hotspot_stream(
         graph, num_phases=3, queries_per_phase=200, radius=2, hops=2,
         hot_fraction=0.9, skew=1.2, seed=7,
-    )
+    ))
 
     with GraphService.open(graph, config) as service:
         with service.session() as session:
@@ -110,12 +110,12 @@ def manual_lifecycle() -> None:
     config = ClusterConfig(
         routing="hash", num_processors=2, num_storage_servers=2,
         cache_capacity_bytes=1 << 20, num_landmarks=6, min_separation=1,
-        dim=3, embed_method="lmds", materialize_storage=True,
-        placement=placement,
+        dim=3, embed_method="lmds", placement=placement,
     )
     with GraphService.open(graph, config) as service:
         manager = service.placement
         tier = service.tier
+        tier.load_graph(service.assets.graph)  # real payloads, not just sizes
         node = 0
         home = tier.partitioner(node, tier.num_servers)
         print(f"\nManual lifecycle: record {node} hash-homes on server {home}")

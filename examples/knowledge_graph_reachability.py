@@ -20,7 +20,7 @@ from repro.datasets import freebase_like
 from repro.graph import Graph, bidirectional_reachability
 from repro.storage import StorageTier
 from repro.sim import Environment
-from repro.workloads import hotspot_workload
+from repro.workloads import hotspot_stream
 
 
 def figure3_graph() -> Graph:
@@ -67,10 +67,10 @@ def demo_fault_tolerance() -> None:
     assets = GraphAssets(graph)
     print(f"  knowledge graph: {graph.num_nodes:,} entities, "
           f"{graph.num_edges:,} relations")
-    queries = hotspot_workload(
+    queries = list(hotspot_stream(
         graph, num_hotspots=30, queries_per_hotspot=10, radius=2, hops=3,
         mix=("reachability",), seed=9, csr=assets.csr_both,
-    )
+    ))
     config = ClusterConfig(
         routing="landmark", num_processors=4, num_storage_servers=2,
         cache_capacity_bytes=4 << 20, num_landmarks=32, min_separation=2,

@@ -1,24 +1,33 @@
 #!/usr/bin/env python
-"""Quickstart: open a graph service and compare routing strategies.
+"""Quickstart: compare routing strategies, then keep a service warm.
 
-Builds a web-graph analogue, opens a long-lived :class:`GraphService`
-(1 router + 7 query processors + 4 storage servers) per routing scheme,
-and serves the paper's hotspot workload through a query session. A second
-session on the adaptive service then shows what the one-shot harness
-cannot: caches stay warm across sessions, so steady-state traffic runs
-faster than the cold start.
+Builds a web-graph analogue and runs the paper's hotspot workload cold
+(:func:`run_workload`: 1 router + 7 query processors + 4 storage servers,
+empty caches) under each routing scheme. A long-lived
+:class:`GraphService` then shows what a cold run cannot: caches stay warm
+across sessions, so steady-state traffic runs faster than the cold start.
 
 Run:  python examples/quickstart.py
 (REPRO_BENCH_SCALE scales the graph, e.g. 0.05 for a CI smoke run.)
 """
 
-from repro import ClusterConfig, GraphService
+from repro import ClusterConfig, GraphService, run_workload
 from repro.bench import bench_scale
 from repro.core import GraphAssets
 from repro.datasets import webgraph_like
-from repro.workloads import hotspot_workload
+from repro.workloads import hotspot_stream
 
 SCHEMES = ("no_cache", "next_ready", "hash", "landmark", "embed", "adaptive")
+
+
+def _config(scheme: str) -> ClusterConfig:
+    return ClusterConfig(
+        routing=scheme,
+        num_processors=7,
+        num_storage_servers=4,
+        cache_capacity_bytes=8 << 20,
+        embed_method="lmds",
+    )
 
 
 def main() -> None:
@@ -28,7 +37,7 @@ def main() -> None:
     print(f"  {graph.num_nodes:,} nodes, {graph.num_edges:,} edges")
 
     print("Generating the hotspot workload (40 hotspots x 10 queries) ...")
-    queries = hotspot_workload(
+    queries = list(hotspot_stream(
         graph,
         num_hotspots=40,
         queries_per_hotspot=10,
@@ -36,36 +45,21 @@ def main() -> None:
         hops=2,
         seed=7,
         csr=assets.csr_both,
-    )
+    ))
 
     print(f"Serving {len(queries)} queries under each routing scheme:\n")
     header = (f"{'scheme':>12} | {'throughput':>12} | {'response':>10} | "
               f"{'hit rate':>8} | {'stolen':>6}")
     print(header)
     print("-" * len(header))
-    adaptive_service = None
     for scheme in SCHEMES:
-        config = ClusterConfig(
-            routing=scheme,
-            num_processors=7,
-            num_storage_servers=4,
-            cache_capacity_bytes=8 << 20,
-            embed_method="lmds",
-        )
-        service = GraphService.open(graph, config, assets=assets)
-        with service.session() as session:
-            session.stream(queries)
-            report = session.report()
+        report = run_workload(graph, queries, _config(scheme), assets=assets)
         print(
             f"{scheme:>12} | {report.throughput():>10.0f}/s | "
             f"{report.mean_response_time() * 1e6:>8.1f}us | "
             f"{report.cache_hit_rate():>8.3f} | "
             f"{report.stolen_count():>6}"
         )
-        if scheme == "adaptive":
-            adaptive_service = service  # keep it warm for the demo below
-        else:
-            service.close()
 
     print(
         "\nSmart routing (landmark/embed) sends queries on nearby nodes to "
@@ -74,12 +68,13 @@ def main() -> None:
         "time, higher throughput."
     )
 
-    # The service is long-lived: a second session reuses warm caches (and
+    # A service is long-lived: its second session reuses warm caches (and
     # the adaptive strategy's learned per-class commitments).
-    with adaptive_service.session() as session:
-        session.stream(queries)
-        warm = session.report()
-    adaptive_service.close()
+    with GraphService.open(graph, _config("adaptive"), assets=assets) as service:
+        for _ in ("cold", "warm"):
+            with service.session() as session:
+                session.stream(queries)
+                warm = session.report()
     print(
         f"\nWarm continuation (adaptive, second session on the same "
         f"service):\n  mean response {warm.mean_response_time() * 1e6:.1f}us, "

@@ -25,14 +25,13 @@ Quickstart::
             print(session.report().summary())
         # caches stay warm: the next session continues where this left off
 
-(:func:`run_workload` / :class:`GRoutingCluster` remain as the one-shot,
-cold-cache experiment harness the paper's figures are defined over.)
+:func:`run_workload` is the one-shot form (open, one session, report,
+close): the cold-cache run the paper's figures are defined over.
 """
 
 from .core import (
     ChaosEvent,
     ClusterConfig,
-    GRoutingCluster,
     GraphAssets,
     GraphService,
     KSourceReachabilityQuery,
@@ -48,7 +47,6 @@ from .core import (
     UpdateReport,
     WorkloadReport,
     query_ids_from,
-    reset_query_ids,
     run_workload,
 )
 from .costs import (
@@ -62,7 +60,7 @@ from .costs import (
 )
 from .graph import GraphUpdate
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "ChaosEvent",
@@ -71,7 +69,6 @@ __all__ = [
     "DEFAULT_COSTS",
     "ETHERNET",
     "ETHERNET_COSTS",
-    "GRoutingCluster",
     "GraphAssets",
     "GraphService",
     "GraphUpdate",
@@ -91,7 +88,6 @@ __all__ = [
     "UpdateReport",
     "WorkloadReport",
     "query_ids_from",
-    "reset_query_ids",
     "run_workload",
     "__version__",
 ]

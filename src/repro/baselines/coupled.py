@@ -16,7 +16,7 @@ throughput is low despite sophisticated partitioning.
   no global barrier.
 
 Execution produces the same :class:`~repro.core.metrics.WorkloadReport` as
-:class:`~repro.core.cluster.GRoutingCluster`, so benchmark tables treat all
+:func:`~repro.core.service.run_workload`, so benchmark tables treat all
 systems uniformly.
 """
 

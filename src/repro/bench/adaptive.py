@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core import GraphService
 from ..core.queries import Query
-from ..workloads import hotspot_workload, uniform_workload, zipfian_workload
+from ..workloads import hotspot_stream, uniform_stream, zipfian_stream
 from .experiments import scheme_config
 from .harness import ExperimentContext, emit, get_context
 
@@ -52,7 +52,7 @@ def mixed_workload(
     traversals want topology-aware routing.
     """
     graph, csr = ctx.graph, ctx.assets.csr_both
-    traversals = hotspot_workload(
+    traversals = list(hotspot_stream(
         graph,
         num_hotspots=num_hotspots,
         queries_per_hotspot=queries_per_hotspot,
@@ -61,15 +61,15 @@ def mixed_workload(
         mix=("reachability",),
         seed=seed,
         csr=csr,
-    )
-    points = uniform_workload(
+    ))
+    points = list(uniform_stream(
         graph, num_queries=num_points, hops=1, mix=("aggregation",),
         seed=seed + 1, csr=csr,
-    )
-    walks = zipfian_workload(
+    ))
+    walks = list(zipfian_stream(
         graph, num_queries=num_walks, hops=4, skew=2.0, mix=("walk",),
         seed=seed + 2, csr=csr,
-    )
+    ))
     # Blocks: one per hotspot group, one per point/walk query.
     blocks: List[List[Query]] = [
         traversals[i : i + queries_per_hotspot]

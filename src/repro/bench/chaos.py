@@ -42,6 +42,7 @@ from ..core import (
     TopologyConfig,
     WorkloadReport,
     query_ids_from,
+    run_workload,
 )
 from ..workloads import churn_stream, poisson_arrivals
 from .experiments import scheme_config
@@ -115,11 +116,7 @@ def calibrate_capacity(ctx) -> float:
         "next_ready", cache_capacity_bytes=CHAOS_CACHE_BYTES
     )
     items = chaos_workload(graph, csr=assets.csr_both)
-    with GraphService.open(graph, config, assets=assets) as service:
-        with service.session() as session:
-            session.stream(items)
-            report = session.report()
-    return report.throughput()
+    return run_workload(graph, items, config, assets=assets).throughput()
 
 
 def failover_topology(outage_s: float) -> TopologyConfig:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..baselines import PowerGraphSystem, SedgeSystem
-from ..core import ClusterConfig, GRoutingCluster, WorkloadReport
+from ..core import ClusterConfig, WorkloadReport, run_workload
 from ..costs import DEFAULT_COSTS, ETHERNET_COSTS
 from ..datasets import dataset_info
 from ..embedding import GraphEmbedding, embed_landmarks
@@ -55,14 +55,14 @@ def run_scheme(
     """One cold-cache cluster run of ``routing`` on the context's workload."""
     if queries is None:
         queries = ctx.workload()
-    cluster = GRoutingCluster(
+    return run_workload(
         ctx.graph,
+        queries,
         scheme_config(routing, **overrides),
         assets=ctx.assets,
         landmark_index=landmark_index,
         embedding=embedding,
     )
-    return cluster.run(queries)
 
 
 # -- Table 1 -----------------------------------------------------------------

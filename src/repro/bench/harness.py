@@ -22,7 +22,7 @@ from ..core.queries import Query
 from ..datasets import load_dataset
 from ..graph.digraph import Graph
 from ..sim import total_events_processed
-from ..workloads import hotspot_workload
+from ..workloads import hotspot_stream
 
 #: Environment knob: scale every benchmark graph (e.g. 0.25 for smoke runs).
 SCALE_ENV = "REPRO_BENCH_SCALE"
@@ -77,7 +77,7 @@ class ExperimentContext:
         """Memoized hotspot workload (paper default: 100 x 10, r=2, h=2)."""
         key = (num_hotspots, queries_per_hotspot, radius, hops, seed)
         if key not in self._workloads:
-            self._workloads[key] = hotspot_workload(
+            self._workloads[key] = list(hotspot_stream(
                 self.graph,
                 num_hotspots=num_hotspots,
                 queries_per_hotspot=queries_per_hotspot,
@@ -85,7 +85,7 @@ class ExperimentContext:
                 hops=hops,
                 seed=seed,
                 csr=self.assets.csr_both,
-            )
+            ))
         return self._workloads[key]
 
 

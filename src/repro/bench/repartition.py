@@ -41,18 +41,18 @@ rounds per hotspot phase at smoke scale and full scale — the CI gate in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core import (
     GraphService,
-    GRoutingCluster,
     PlacementConfig,
     QueryIdAllocator,
     WorkloadReport,
     query_ids_from,
+    run_workload,
 )
 from ..core.queries import Query
-from ..workloads import poisson_arrivals, shifting_hotspot_workload
+from ..workloads import poisson_arrivals, shifting_hotspot_stream
 from .experiments import scheme_config
 from .harness import emit, get_context
 
@@ -87,13 +87,13 @@ STATIC_ROUTINGS = ("hash", "embed", "adaptive")
 def repartition_workload(ctx) -> List[Query]:
     """The shifting-hotspot query population (deterministic, scoped ids)."""
     with query_ids_from(QueryIdAllocator(start=6_000_000)):
-        return shifting_hotspot_workload(
+        return list(shifting_hotspot_stream(
             ctx.graph,
             num_phases=NUM_PHASES,
             queries_per_phase=QUERIES_PER_PHASE,
             csr=ctx.assets.csr_both,
             **HOTSPOT,
-        )
+        ))
 
 
 def calibrate_capacity(ctx, queries: List[Query],
@@ -101,12 +101,12 @@ def calibrate_capacity(ctx, queries: List[Query],
     """Closed-loop throughput of the workload under ``next_ready`` — the
     capacity the open-loop arrival rate is a fraction of, so ``LOAD``
     means the same thing at every graph scale."""
-    report = GRoutingCluster(
+    return run_workload(
         ctx.graph,
+        queries,
         scheme_config("next_ready", cache_capacity_bytes=cache_bytes),
         assets=ctx.assets,
-    ).run(queries)
-    return report.throughput()
+    ).throughput()
 
 
 def tuned_placement(phase_s: float) -> PlacementConfig:

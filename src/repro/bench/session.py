@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from ..core import GraphService, GRoutingCluster
+from ..core import GraphService, run_workload
 from .adaptive import SUBMIT_BATCH, mixed_workload
 from .experiments import scheme_config
 from .harness import emit, get_context
@@ -48,7 +48,7 @@ def session_steady_state(
         # Cold baseline: a fresh cluster runs only the steady segment, so
         # its mean carries the compulsory misses (and, for adaptive, the
         # audition) that a long-lived service pays exactly once.
-        cold = GRoutingCluster(ctx.graph, config, assets=ctx.assets).run(steady)
+        cold = run_workload(ctx.graph, steady, config, assets=ctx.assets)
         with GraphService.open(ctx.graph, config, assets=ctx.assets) as service:
             with service.session() as warm_session:
                 warm_session.stream(warmup)
@@ -76,10 +76,7 @@ def session_steady_state(
     # (Reusing `full` is fine — ids only need uniqueness per router, and
     # this is a fresh service.)
     config = replace(scheme_config("adaptive"), submit_batch=SUBMIT_BATCH)
-    with GraphService.open(ctx.graph, config, assets=ctx.assets) as service:
-        with service.session() as session:
-            session.stream(full)
-            continuous = session.report()
+    continuous = run_workload(ctx.graph, full, config, assets=ctx.assets)
     window_stats = continuous.per_window_stats(NUM_WINDOWS)
     window_rows = [
         [

@@ -35,10 +35,10 @@ from typing import Dict, List, Optional, Tuple
 from ..core import (
     AdmissionConfig,
     GraphService,
-    GRoutingCluster,
     QueryIdAllocator,
     WorkloadReport,
     query_ids_from,
+    run_workload,
 )
 from ..core.queries import Query
 from ..workloads import (
@@ -97,10 +97,9 @@ def calibrate_capacity(ctx, interactive: List[Query],
     cluster's service capacity for exactly this traffic shape, so the
     sweep multipliers stay meaningful across graph scales."""
     queries = list(interleave([interactive, analytics], seed=29))
-    report = GRoutingCluster(
-        ctx.graph, scheme_config("next_ready"), assets=ctx.assets,
-    ).run(queries)
-    return report.throughput()
+    return run_workload(
+        ctx.graph, queries, scheme_config("next_ready"), assets=ctx.assets,
+    ).throughput()
 
 
 def _serve_at_load(

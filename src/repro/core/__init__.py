@@ -12,7 +12,6 @@ from .admission import (
 )
 from .assets import GraphAssets
 from .cache import CacheStats, ProcessorCache
-from .cluster import GRoutingCluster, run_workload
 from .metrics import QueryRecord, QueryStats, WorkloadReport
 from .operators import (
     OperatorRegistry,
@@ -37,7 +36,6 @@ from .queries import (
     ReachabilityQuery,
     query_class,
     query_ids_from,
-    reset_query_ids,
 )
 from .router import Router
 from .service import (
@@ -45,6 +43,7 @@ from .service import (
     ClusterConfig,
     GraphService,
     QuerySession,
+    run_workload,
 )
 from .updates import LiveUpdateManager, UpdateReport
 from .routing import (
@@ -70,7 +69,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterTopology",
     "EmbedRouting",
-    "GRoutingCluster",
     "GraphAssets",
     "GraphService",
     "HashRouting",
@@ -109,6 +107,5 @@ __all__ = [
     "gather_nodes",
     "query_class",
     "query_ids_from",
-    "reset_query_ids",
     "run_workload",
 ]

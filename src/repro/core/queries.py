@@ -67,14 +67,6 @@ def _next_query_id() -> int:
     return _active_allocator.allocate()
 
 
-def reset_query_ids(start: Optional[int] = None) -> None:
-    """Reset the *active* allocator — fresh ids for a workload replay.
-
-    Defaults to the allocator's own construction-time start.
-    """
-    _active_allocator.reset(start)
-
-
 def current_query_id_allocator() -> QueryIdAllocator:
     """The allocator active right now (for capture at creation time).
 
@@ -94,7 +86,7 @@ def query_ids_from(allocator: QueryIdAllocator) -> Iterator[QueryIdAllocator]:
     workload generators get non-colliding, replay-deterministic ids::
 
         with query_ids_from(QueryIdAllocator(start=1, stride=2)):
-            queries = zipfian_workload(graph, num_queries=100)  # odd ids
+            queries = list(zipfian_stream(graph, num_queries=100))  # odd ids
     """
     global _active_allocator
     previous = _active_allocator

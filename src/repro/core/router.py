@@ -168,7 +168,7 @@ class Router:
                 raise ValueError(
                     f"query id {query.query_id} is already in flight; "
                     "replays need fresh ids (see QueryIdAllocator / "
-                    "reset_query_ids)"
+                    "query_ids_from)"
                 )
             batch_ids.add(query.query_id)
             # Unregistered query types fail *here*, synchronously, with the

@@ -103,7 +103,3 @@ class RoutingStrategy(ABC):
         processor and pools work for unknown targets.
         """
         return 0
-
-    def load_penalty(self, loads: Sequence[int], load_factor: float):
-        """Eq. 3/7 second term for every processor."""
-        return [load / load_factor for load in loads]

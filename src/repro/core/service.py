@@ -1,10 +1,9 @@
 """Long-lived service facade: one decoupled cluster, many query sessions.
 
 The paper's architecture exists to serve *online* queries arriving
-continuously, but a :class:`~repro.core.cluster.GRoutingCluster` is a
-one-shot experiment harness: every ``run()`` starts from cold caches
-(§4.1), which is right for regenerating figures and wrong for studying
-steady state. :class:`GraphService` is the serving-side entry point:
+continuously, and a decoupled processor "is equally capable of handling
+any request" (§2.3), so there is one serving path.
+:class:`GraphService` is its entry point:
 
 * **build once** — graph assets, storage tier, processors (and their
   caches), routing strategy and router are constructed when the service
@@ -36,6 +35,10 @@ make every record ambiguous. Parallel sessions belong to parallel
 services (one simulated cluster each), with
 :class:`~repro.core.queries.QueryIdAllocator` strides keeping their query
 ids disjoint.
+
+The paper's figures are defined over cold-cache runs (§4.1):
+:func:`run_workload` is that one-shot form — open, one session, report,
+close — for anything that does not need the live service afterwards.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from .topology import ClusterTopology, TopologyConfig
 if TYPE_CHECKING:  # annotation only: workloads imports core, not vice versa
     from ..workloads.open_loop import Arrival
 from .processor import QueryProcessor
-from .queries import Query, QueryIdAllocator
+from .queries import Query
 from .router import Router
 from .updates import LiveUpdateManager, UpdateReport
 from .routing import (
@@ -81,8 +84,8 @@ ROUTING_CHOICES = (
 #: changed by a live ``set_routing`` — altering them means a new service.
 STRUCTURAL_FIELDS = frozenset({
     "num_processors", "num_storage_servers", "cache_capacity_bytes",
-    "cache_policy", "costs", "steal", "materialize_storage", "placement",
-    "speed_profiles", "topology",
+    "cache_policy", "costs", "steal", "placement", "speed_profiles",
+    "topology",
 })
 
 
@@ -104,18 +107,13 @@ class ClusterConfig:
     embed_method: str = "simplex"
     steal: bool = True
     seed: int = 0
-    materialize_storage: bool = False  # actually load records into the KV log
     # -- adaptive-routing knobs ----------------------------------------------
     #: Static arms the adaptive strategy can pick per query class.
     adaptive_arms: Tuple[str, ...] = ("hash", "landmark", "embed")
     #: Base exploration rate of the per-class epsilon-greedy policy.
     epsilon: float = 0.1
-    #: Per-class decay applied to epsilon as decisions accumulate.
-    epsilon_decay: float = 0.05
     #: Queries per audition epoch (each arm owns all traffic for one epoch).
     adaptive_epoch: int = 32
-    #: EWMA smoothing for the latency / hit-rate / queue-depth feedback.
-    feedback_alpha: float = 0.2
     #: Queries routed per submission wave. None = auto: everything at once
     #: for static strategies (decisions don't depend on feedback), small
     #: waves for adaptive so routing feedback informs later decisions.
@@ -142,8 +140,10 @@ class ClusterConfig:
     #: paper's homogeneous testbed, bit-for-bit.
     speed_profiles: Optional[SpeedProfiles] = None
 
-    def with_routing(self, routing: str) -> "ClusterConfig":
-        return replace(self, routing=routing)
+
+def _check_submit_batch(config: ClusterConfig) -> None:
+    if config.submit_batch is not None and config.submit_batch < 1:
+        raise ValueError("submit_batch must be >= 1")
 
 
 class GraphService:
@@ -180,6 +180,7 @@ class GraphService:
             )
         if self.config.num_processors < 1:
             raise ValueError("need at least one query processor")
+        _check_submit_batch(self.config)
         self.assets = assets if assets is not None else GraphAssets(graph)
         # Shared staleness set: nodes whose routing info predates a graph
         # update. Created before the strategies so they can hold it by
@@ -201,8 +202,6 @@ class GraphService:
                 )
                 if speed != 1.0:
                     server.service = server.service.scaled(speed)
-        if self.config.materialize_storage:
-            self.tier.load_graph(self.assets.graph)
         self.processors: List[QueryProcessor] = [
             self.build_processor(i)
             for i in range(self.config.num_processors)
@@ -299,8 +298,6 @@ class GraphService:
                 {arm: self._build_strategy(cfg, arm) for arm in cfg.adaptive_arms},
                 epoch=cfg.adaptive_epoch,
                 epsilon=cfg.epsilon,
-                epsilon_decay=cfg.epsilon_decay,
-                feedback_alpha=cfg.feedback_alpha,
                 seed=cfg.seed,
             )
         # embed
@@ -326,15 +323,8 @@ class GraphService:
     def closed(self) -> bool:
         return self._closed
 
-    def session(
-        self, id_allocator: Optional[QueryIdAllocator] = None
-    ) -> "QuerySession":
-        """Open a query session (one active per service).
-
-        ``id_allocator``, when given, re-ids every submitted query from a
-        session-owned allocator — deterministic, collision-free ids for
-        replays and for parallel services sharing one query log.
-        """
+    def session(self) -> "QuerySession":
+        """Open a query session (one active per service)."""
         if self._closed:
             raise RuntimeError(
                 "GraphService is closed; open a new one to serve queries"
@@ -350,7 +340,7 @@ class GraphService:
             # unattributed, so their completions can't land inside the new
             # session's record range.
             self.drain()
-        session = QuerySession(self, id_allocator=id_allocator)
+        session = QuerySession(self)
         self._active_session = session
         return session
 
@@ -400,6 +390,7 @@ class GraphService:
                 "'no_cache' on a live service"
             )
         new_config = replace(self.config, routing=new_routing, **knobs)
+        _check_submit_batch(new_config)
         new_strategy = self._build_strategy(new_config)
         if (
             carry_state
@@ -490,16 +481,14 @@ class GraphService:
     # -- submission defaults ---------------------------------------------------
     def _default_batch(self, workload) -> int:
         batch = self.config.submit_batch
-        if batch is None:
-            if self.config.routing == "adaptive":
-                return self.ADAPTIVE_BATCH
-            try:
-                return max(1, len(workload))
-            except TypeError:  # a generator: stream in bounded waves
-                return self.STREAM_BATCH
-        if batch < 1:
-            raise ValueError("submit_batch must be >= 1")
-        return batch
+        if batch is not None:
+            return batch
+        if self.config.routing == "adaptive":
+            return self.ADAPTIVE_BATCH
+        try:
+            return max(1, len(workload))
+        except TypeError:  # a generator: stream in bounded waves
+            return self.STREAM_BATCH
 
     # -- diagnostics -----------------------------------------------------------
     def processor_utilizations(self) -> List[float]:
@@ -570,15 +559,10 @@ class QuerySession:
     session starts from an idle, warm cluster.
     """
 
-    def __init__(
-        self,
-        service: GraphService,
-        id_allocator: Optional[QueryIdAllocator] = None,
-    ) -> None:
+    def __init__(self, service: GraphService) -> None:
         self.service = service
         self.env = service.env
         self.router = service.router
-        self._ids = id_allocator
         self.started_at = self.env.now
         self._start_index = len(self.router.records)
         self._end_index: Optional[int] = None
@@ -622,20 +606,14 @@ class QuerySession:
                 "session is closed; open a new one on the service"
             )
 
-    def _tag(self, query: Query) -> Query:
-        if self._ids is None:
-            return query
-        return replace(query, query_id=self._ids.allocate())
-
     # -- submission ------------------------------------------------------------
     def submit(self, query: Query) -> Query:
-        """Route one query immediately; returns the (possibly re-id'd) query.
+        """Route one query immediately; returns it.
 
         Submission alone does not advance simulated time — interleave with
         :meth:`results`, :meth:`drain` or :meth:`report` to execute.
         """
         self._check_open()
-        query = self._tag(query)
         self.router.submit([query])
         self.submitted += 1
         return query
@@ -643,24 +621,20 @@ class QuerySession:
     def submit_many(self, queries: Iterable[Query]) -> List[Query]:
         """Route a batch in one wave; returns the submitted queries."""
         self._check_open()
-        batch = [self._tag(q) for q in queries]
+        batch = list(queries)
         self.router.submit(batch)
         self.submitted += len(batch)
         return batch
 
-    def stream(
-        self,
-        workload: Iterable[Query],
-        batch: Optional[int] = None,
-        refill: Optional[int] = None,
-    ) -> int:
+    def stream(self, workload: Iterable[Query]) -> int:
         """Feed a workload — any iterable, generators included — through
         the router's pipelined wave/backlog machinery.
 
-        Waves of ``batch`` queries are topped up whenever the cluster
-        backlog drains below ``refill`` (default ``batch // 2``), so
-        processors never idle at a wave boundary and feedback-driven
-        strategies decide later waves with earlier acks already absorbed.
+        Waves of ``config.submit_batch`` queries (see :class:`ClusterConfig`
+        for the default) are topped up whenever the cluster backlog drains
+        below half a wave, so processors never idle at a wave boundary and
+        feedback-driven strategies decide later waves with earlier acks
+        already absorbed.
         Returns the number of queries submitted; completion is awaited by
         :meth:`drain` / :meth:`report` / :meth:`results`.
 
@@ -673,12 +647,8 @@ class QuerySession:
         do not count toward the returned submission total.
         """
         self._check_open()
-        if batch is None:
-            batch = self.service._default_batch(workload)
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if refill is None:
-            refill = max(1, batch // 2)
+        batch = self.service._default_batch(workload)
+        refill = max(1, batch // 2)
         iterator = iter(workload)
         submitted = 0
         wave = list(islice(iterator, batch))
@@ -760,8 +730,6 @@ class QuerySession:
         router = self.router
         controller = AdmissionController(router, admission).attach()
         origin = env.now
-        tag = self._tag
-
         updates = self.service.updates
 
         def drive():
@@ -787,7 +755,7 @@ class QuerySession:
                     # does in closed loop.
                     yield from updates.apply_process([arrival.query])
                     continue
-                controller.offer(tag(arrival.query), arrival.tenant)
+                controller.offer(arrival.query, arrival.tenant)
 
         try:
             driver = env.process(drive())
@@ -928,3 +896,22 @@ class QuerySession:
 
     def __exit__(self, exc_type, _exc, _tb) -> None:
         self.close(drain=exc_type is None)
+
+
+def run_workload(
+    graph: Graph,
+    queries: Iterable[Query],
+    config: Optional[ClusterConfig] = None,
+    assets: Optional[GraphAssets] = None,
+    **service_kwargs,
+) -> WorkloadReport:
+    """One cold run: open a service, stream ``queries`` through one
+    session, report, close. Caches start empty and simulated time at zero
+    on every call (§4.1); ``service_kwargs`` go to :class:`GraphService`.
+    """
+    with GraphService.open(
+        graph, config, assets=assets, **service_kwargs
+    ) as service:
+        with service.session() as session:
+            session.stream(queries)
+            return session.report()

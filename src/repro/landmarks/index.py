@@ -300,17 +300,3 @@ class LandmarkIndex:
             node: vec.copy() for node, vec in self._extra_table.items()
         }
         return copy
-
-    def rebuild(
-        self,
-        graph: Graph,
-        num_landmarks: Optional[int] = None,
-        min_separation: int = 3,
-    ) -> "LandmarkIndex":
-        """Periodic offline re-preprocessing (returns a fresh index)."""
-        return LandmarkIndex.build(
-            graph,
-            num_processors=self.num_processors,
-            num_landmarks=num_landmarks or self.num_landmarks,
-            min_separation=min_separation,
-        )

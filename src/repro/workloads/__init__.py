@@ -1,9 +1,9 @@
 """Query workload generators (hotspot, uniform, zipfian + per-family).
 
-Each workload is available as a lazy ``*_stream`` generator (the session
-API's unit) and a materialised ``*_workload`` list (the one-shot
-harness's unit); :func:`interleave` composes streams. The generic streams
-accept any registered query operator in their ``mix`` (see
+Each workload is a lazy ``*_stream`` generator (the session API's unit;
+``list(...)`` materialises one for replay); :func:`interleave` composes
+streams. The generic streams accept any registered query operator in
+their ``mix`` (see
 :mod:`repro.core.operators`); :mod:`~repro.workloads.families` adds
 dedicated streams shaping traffic for the extended families (``ppr``,
 ``k_reach``, ``sample``); :mod:`~repro.workloads.updates` adds
@@ -15,26 +15,15 @@ multiplexes per-tenant streams for
 :meth:`~repro.core.service.QuerySession.serve`.
 """
 
-from .families import (
-    k_reach_stream,
-    k_reach_workload,
-    ppr_stream,
-    ppr_workload,
-    sample_stream,
-    sample_workload,
-)
+from .families import k_reach_stream, ppr_stream, sample_stream
 from .hotspot import (
     DEFAULT_MIX,
     FULL_MIX,
     hotspot_stream,
-    hotspot_workload,
     interleave,
     shifting_hotspot_stream,
-    shifting_hotspot_workload,
     uniform_stream,
-    uniform_workload,
     zipfian_stream,
-    zipfian_workload,
 )
 from .open_loop import (
     Arrival,
@@ -43,31 +32,23 @@ from .open_loop import (
     merge_arrivals,
     poisson_arrivals,
 )
-from .updates import churn_stream, churn_workload
+from .updates import churn_stream
 
 __all__ = [
     "Arrival",
     "DEFAULT_MIX",
     "FULL_MIX",
     "churn_stream",
-    "churn_workload",
     "diurnal_arrivals",
     "flash_crowd_arrivals",
     "hotspot_stream",
-    "hotspot_workload",
     "interleave",
     "k_reach_stream",
-    "k_reach_workload",
     "merge_arrivals",
     "poisson_arrivals",
     "ppr_stream",
-    "ppr_workload",
     "sample_stream",
-    "sample_workload",
     "shifting_hotspot_stream",
-    "shifting_hotspot_workload",
     "uniform_stream",
-    "uniform_workload",
     "zipfian_stream",
-    "zipfian_workload",
 ]

@@ -14,13 +14,12 @@ new family is actually used in production:
 
 Each follows the repo-wide stream contract: eager argument validation,
 lazy generation, ids drawn from the allocator captured at creation time
-(see :func:`repro.core.queries.current_query_id_allocator`), and a
-materialised ``*_workload`` twin for the one-shot harness.
+(see :func:`repro.core.queries.current_query_id_allocator`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -79,11 +78,6 @@ def ppr_stream(
     return generate()
 
 
-def ppr_workload(graph: Graph, **kwargs) -> List[Query]:
-    """Materialised :func:`ppr_stream`."""
-    return list(ppr_stream(graph, **kwargs))
-
-
 def k_reach_stream(
     graph: Graph,
     num_queries: int = 500,
@@ -131,11 +125,6 @@ def k_reach_stream(
     return generate()
 
 
-def k_reach_workload(graph: Graph, **kwargs) -> List[Query]:
-    """Materialised :func:`k_reach_stream`."""
-    return list(k_reach_stream(graph, **kwargs))
-
-
 def sample_stream(
     graph: Graph,
     num_queries: int = 1000,
@@ -163,8 +152,3 @@ def sample_stream(
             )
 
     return generate()
-
-
-def sample_workload(graph: Graph, **kwargs) -> List[Query]:
-    """Materialised :func:`sample_stream`."""
-    return list(sample_stream(graph, **kwargs))

@@ -9,18 +9,17 @@ registered query operators (default: the paper's three h-hop types;
 any operator registered with a workload factory — including custom ones —
 is a valid mix entry).
 
-Every workload comes in two forms: a ``*_stream`` generator — the unit the
-session API consumes, yielding queries lazily so a
+Every workload is a ``*_stream`` generator — the unit the session API
+consumes, yielding queries lazily so a
 :class:`~repro.core.service.QuerySession` can pipeline waves without ever
-materialising the full workload — and the original list-returning
-function, now a thin ``list(...)`` wrapper kept for the one-shot
-experiment harness. :func:`interleave` composes finite streams into one
-mixed arrival order.
+materialising the full workload; wrap it in ``list(...)`` to replay one
+workload against several clusters. :func:`interleave` composes finite
+streams into one mixed arrival order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -116,29 +115,6 @@ def hotspot_stream(
     return generate()
 
 
-def hotspot_workload(
-    graph: Graph,
-    num_hotspots: int = 100,
-    queries_per_hotspot: int = 10,
-    radius: int = 2,
-    hops: int = 2,
-    mix: Sequence[str] = DEFAULT_MIX,
-    seed: int = 0,
-    csr: Optional[CSRGraph] = None,
-) -> List[Query]:
-    """Materialised :func:`hotspot_stream` (the one-shot harness's unit)."""
-    return list(hotspot_stream(
-        graph,
-        num_hotspots=num_hotspots,
-        queries_per_hotspot=queries_per_hotspot,
-        radius=radius,
-        hops=hops,
-        mix=mix,
-        seed=seed,
-        csr=csr,
-    ))
-
-
 def uniform_stream(
     graph: Graph,
     num_queries: int = 1000,
@@ -165,20 +141,6 @@ def uniform_stream(
                               ids.allocate())
 
     return generate()
-
-
-def uniform_workload(
-    graph: Graph,
-    num_queries: int = 1000,
-    hops: int = 2,
-    mix: Sequence[str] = DEFAULT_MIX,
-    seed: int = 0,
-    csr: Optional[CSRGraph] = None,
-) -> List[Query]:
-    """Materialised :func:`uniform_stream`."""
-    return list(uniform_stream(
-        graph, num_queries=num_queries, hops=hops, mix=mix, seed=seed, csr=csr,
-    ))
 
 
 def zipfian_stream(
@@ -217,22 +179,6 @@ def zipfian_stream(
                               ids.allocate())
 
     return generate()
-
-
-def zipfian_workload(
-    graph: Graph,
-    num_queries: int = 1000,
-    hops: int = 2,
-    skew: float = 1.2,
-    mix: Sequence[str] = DEFAULT_MIX,
-    seed: int = 0,
-    csr: Optional[CSRGraph] = None,
-) -> List[Query]:
-    """Materialised :func:`zipfian_stream`."""
-    return list(zipfian_stream(
-        graph, num_queries=num_queries, hops=hops, skew=skew, mix=mix,
-        seed=seed, csr=csr,
-    ))
 
 
 def shifting_hotspot_stream(
@@ -310,33 +256,6 @@ def shifting_hotspot_stream(
                                   ids.allocate())
 
     return generate()
-
-
-def shifting_hotspot_workload(
-    graph: Graph,
-    num_phases: int = 8,
-    queries_per_phase: int = 120,
-    radius: int = 2,
-    hops: int = 2,
-    mix: Sequence[str] = DEFAULT_MIX,
-    hot_fraction: float = 0.9,
-    skew: float = 1.1,
-    seed: int = 0,
-    csr: Optional[CSRGraph] = None,
-) -> List[Query]:
-    """Materialised :func:`shifting_hotspot_stream`."""
-    return list(shifting_hotspot_stream(
-        graph,
-        num_phases=num_phases,
-        queries_per_phase=queries_per_phase,
-        radius=radius,
-        hops=hops,
-        mix=mix,
-        hot_fraction=hot_fraction,
-        skew=skew,
-        seed=seed,
-        csr=csr,
-    ))
 
 
 def interleave(

@@ -184,7 +184,3 @@ def churn_stream(
 
     return generate()
 
-
-def churn_workload(graph: Graph, **kwargs) -> List[ChurnItem]:
-    """Materialised :func:`churn_stream` (queries and updates, in order)."""
-    return list(churn_stream(graph, **kwargs))

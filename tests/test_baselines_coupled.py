@@ -2,20 +2,20 @@
 
 import pytest
 
-from repro import ClusterConfig, ETHERNET_COSTS, GRoutingCluster, GraphAssets
+from repro import ClusterConfig, ETHERNET_COSTS, GraphAssets, run_workload
 from repro.baselines import PowerGraphSystem, SedgeSystem
 from repro.core import NeighborAggregationQuery
 from repro.datasets import memetracker_like
 from repro.graph import k_hop_neighborhood
-from repro.workloads import hotspot_workload
+from repro.workloads import hotspot_stream
 
 
 @pytest.fixture(scope="module")
 def setup():
     graph = memetracker_like(scale=0.05, seed=2)
     assets = GraphAssets(graph)
-    queries = hotspot_workload(graph, num_hotspots=8, queries_per_hotspot=10,
-                               radius=2, hops=2, seed=1, csr=assets.csr_both)
+    queries = list(hotspot_stream(graph, num_hotspots=8, queries_per_hotspot=10,
+                                  radius=2, hops=2, seed=1, csr=assets.csr_both))
     return graph, assets, queries
 
 
@@ -99,7 +99,7 @@ class TestSystemComparison:
             cache_capacity_bytes=8 << 20, num_landmarks=16, min_separation=2,
             dim=6, embed_method="lmds", costs=ETHERNET_COSTS,
         )
-        grouting = GRoutingCluster(graph, config, assets=assets).run(queries)
+        grouting = run_workload(graph, queries, config, assets=assets)
         sedge = SedgeSystem(assets, num_servers=12).run(queries)
         powergraph = PowerGraphSystem(assets, num_servers=12).run(queries)
         assert grouting.throughput() > 2 * powergraph.throughput()

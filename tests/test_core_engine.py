@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, GRoutingCluster, GraphAssets
+from repro import ClusterConfig, GraphAssets, run_workload
 from repro.core import (
     NeighborAggregationQuery,
     RandomWalkQuery,
@@ -15,7 +15,7 @@ from repro.graph import (
     k_hop_neighborhood,
     ring_of_cliques,
 )
-from repro.workloads import hotspot_workload
+from repro.workloads import hotspot_stream
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +36,7 @@ def _run_single(graph, assets, query, **config_kwargs):
         cache_capacity_bytes=1 << 20,
         **config_kwargs,
     )
-    cluster = GRoutingCluster(graph, config, assets=assets)
-    report = cluster.run([query])
+    report = run_workload(graph, [query], config, assets=assets)
     assert len(report.records) == 1
     return report.records[0]
 
@@ -148,10 +147,10 @@ class TestCacheInteraction:
     def test_repeat_query_hits_cache(self, random_graph, random_assets):
         config = ClusterConfig(num_processors=1, num_storage_servers=1,
                                routing="hash", cache_capacity_bytes=1 << 20)
-        cluster = GRoutingCluster(random_graph, config, assets=random_assets)
         q1 = NeighborAggregationQuery(node=10, hops=2)
         q2 = NeighborAggregationQuery(node=10, hops=2)
-        report = cluster.run([q1, q2])
+        report = run_workload(random_graph, [q1, q2], config,
+                              assets=random_assets)
         first, second = report.records
         assert first.stats.cache_misses > 0
         assert second.stats.cache_misses == 0
@@ -160,20 +159,20 @@ class TestCacheInteraction:
     def test_second_query_faster_with_cache(self, random_graph, random_assets):
         config = ClusterConfig(num_processors=1, num_storage_servers=1,
                                routing="hash", cache_capacity_bytes=1 << 20)
-        cluster = GRoutingCluster(random_graph, config, assets=random_assets)
         q1 = NeighborAggregationQuery(node=10, hops=2)
         q2 = NeighborAggregationQuery(node=10, hops=2)
-        report = cluster.run([q1, q2])
+        report = run_workload(random_graph, [q1, q2], config,
+                              assets=random_assets)
         first, second = report.records
         assert second.response_time < first.response_time
 
     def test_no_cache_mode_never_hits(self, random_graph, random_assets):
         config = ClusterConfig(num_processors=1, num_storage_servers=1,
                                routing="no_cache", cache_capacity_bytes=1 << 20)
-        cluster = GRoutingCluster(random_graph, config, assets=random_assets)
         q1 = NeighborAggregationQuery(node=10, hops=2)
         q2 = NeighborAggregationQuery(node=10, hops=2)
-        report = cluster.run([q1, q2])
+        report = run_workload(random_graph, [q1, q2], config,
+                              assets=random_assets)
         assert report.total_cache_hits() == 0
         assert report.records[0].response_time == pytest.approx(
             report.records[1].response_time, rel=0.2
@@ -182,13 +181,13 @@ class TestCacheInteraction:
 
 class TestWorkloadExecution:
     def test_mixed_workload_all_complete(self, random_graph, random_assets):
-        queries = hotspot_workload(random_graph, num_hotspots=6,
-                                   queries_per_hotspot=6, radius=1, hops=2,
-                                   seed=5, csr=random_assets.csr_both)
+        queries = list(hotspot_stream(random_graph, num_hotspots=6,
+                                      queries_per_hotspot=6, radius=1, hops=2,
+                                      seed=5, csr=random_assets.csr_both))
         config = ClusterConfig(num_processors=3, num_storage_servers=2,
                                routing="hash", cache_capacity_bytes=1 << 20)
-        report = GRoutingCluster(random_graph, config,
-                                 assets=random_assets).run(queries)
+        report = run_workload(random_graph, queries, config,
+                              assets=random_assets)
         assert len(report.records) == 36
         kinds = {r.kind for r in report.records}
         assert kinds == {

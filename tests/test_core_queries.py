@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import QueryIdAllocator, query_ids_from, reset_query_ids
+from repro import QueryIdAllocator, query_ids_from
 from repro.core import NeighborAggregationQuery
 
 
@@ -57,12 +57,6 @@ class TestScopedAllocation:
         after = NeighborAggregationQuery(node=0).query_id
         assert after == before + 1
 
-    def test_reset_query_ids_applies_to_active_scope(self):
-        with query_ids_from(QueryIdAllocator(start=42)) as allocator:
-            assert NeighborAggregationQuery(node=0).query_id == 42
-            reset_query_ids(start=42)
-            assert allocator.allocate() == 42
-
     def test_parallel_generators_never_collide(self):
         streams = []
         for k in range(3):
@@ -97,16 +91,6 @@ class TestScopedAllocation:
                 with query_ids_from(QueryIdAllocator(start=900)):
                     raise RuntimeError("boom")
             assert NeighborAggregationQuery(node=0).query_id == 300
-
-    def test_reset_query_ids_targets_innermost_scope_only(self):
-        outer = QueryIdAllocator(start=50)
-        with query_ids_from(outer):
-            outer.allocate()  # 50
-            with query_ids_from(QueryIdAllocator(start=70)) as inner:
-                inner.allocate()  # 70
-                reset_query_ids()
-                assert inner.allocate() == 70  # inner rewound...
-            assert outer.allocate() == 51      # ...outer untouched
 
     def test_lazy_streams_capture_allocator_at_creation(self):
         # A *_stream built inside a scope keeps the scope's ids even when

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ClusterConfig, GRoutingCluster, GraphAssets
+from repro import ClusterConfig, GraphAssets, GraphService
 from repro.core import NeighborAggregationQuery
 from repro.graph import ring_of_cliques
 
@@ -27,7 +27,13 @@ def _cluster(graph, assets, routing="hash", processors=3, steal=True,
         steal=steal,
         **kwargs,
     )
-    return GRoutingCluster(graph, config, assets=assets)
+    return GraphService(graph, config, assets=assets)
+
+
+def _run(cluster, queries):
+    with cluster.session() as session:
+        session.stream(queries)
+        return session.report()
 
 
 def _queries(nodes, hops=2):
@@ -38,34 +44,28 @@ class TestDispatch:
     def test_all_queries_complete_exactly_once(self, graph, assets):
         cluster = _cluster(graph, assets)
         queries = _queries(range(30))
-        report = cluster.run(queries)
+        report = _run(cluster, queries)
         assert len(report.records) == 30
         assert len({r.query_id for r in report.records}) == 30
 
     def test_one_outstanding_query_per_processor(self, graph, assets):
         # With 1 processor, executions must be strictly sequential.
         cluster = _cluster(graph, assets, processors=1)
-        report = cluster.run(_queries(range(10)))
+        report = _run(cluster, _queries(range(10)))
         spans = sorted((r.started_at, r.finished_at) for r in report.records)
         for (_s1, f1), (s2, _f2) in zip(spans, spans[1:], strict=False):
             assert s2 >= f1
 
     def test_empty_workload(self, graph, assets):
         cluster = _cluster(graph, assets)
-        report = cluster.run([])
+        report = _run(cluster, [])
         assert report.records == []
         assert report.makespan == 0.0
-
-    def test_cluster_runs_only_once(self, graph, assets):
-        cluster = _cluster(graph, assets)
-        cluster.run(_queries([0]))
-        with pytest.raises(RuntimeError):
-            cluster.run(_queries([1]))
 
     def test_hash_routing_respects_intended_processor(self, graph, assets):
         cluster = _cluster(graph, assets, routing="hash", processors=3,
                            steal=False)
-        report = cluster.run(_queries(range(12)))
+        report = _run(cluster, _queries(range(12)))
         for record in report.records:
             assert record.processor == record.node % 3
             assert record.intended_processor == record.node % 3
@@ -78,7 +78,7 @@ class TestStealing:
         # stealing on, other processors must take some of them.
         cluster = _cluster(graph, assets, routing="hash", processors=3)
         nodes = [n for n in range(0, 40) if n % 3 == 0 and graph.has_node(n)]
-        report = cluster.run(_queries(nodes))
+        report = _run(cluster, _queries(nodes))
         used = {r.processor for r in report.records}
         assert len(used) > 1
         assert report.stolen_count() > 0
@@ -87,20 +87,20 @@ class TestStealing:
         cluster = _cluster(graph, assets, routing="hash", processors=3,
                            steal=False)
         nodes = [n for n in range(0, 40) if n % 3 == 0 and graph.has_node(n)]
-        report = cluster.run(_queries(nodes))
+        report = _run(cluster, _queries(nodes))
         assert {r.processor for r in report.records} == {0}
 
     def test_stealing_improves_makespan(self, graph, assets):
         nodes = [n for n in range(0, 40) if n % 3 == 0 and graph.has_node(n)]
-        with_steal = _cluster(graph, assets, processors=3).run(_queries(nodes))
-        without = _cluster(graph, assets, processors=3, steal=False).run(
-            _queries(nodes)
-        )
+        with_steal = _run(_cluster(graph, assets, processors=3),
+                          _queries(nodes))
+        without = _run(_cluster(graph, assets, processors=3, steal=False),
+                       _queries(nodes))
         assert with_steal.makespan < without.makespan
 
     def test_next_ready_never_marks_stolen(self, graph, assets):
         cluster = _cluster(graph, assets, routing="next_ready", processors=3)
-        report = cluster.run(_queries(range(20)))
+        report = _run(cluster, _queries(range(20)))
         assert report.stolen_count() == 0
 
 
@@ -127,7 +127,7 @@ class TestEdgeCases:
         # Stealing with no victims: max() over an empty candidate set must
         # not blow up, and nothing can ever be marked stolen.
         cluster = _cluster(graph, assets, processors=1, steal=True)
-        report = cluster.run(_queries(range(15)))
+        report = _run(cluster, _queries(range(15)))
         assert len(report.records) == 15
         assert report.stolen_count() == 0
         assert {r.processor for r in report.records} == {0}
@@ -138,7 +138,7 @@ class TestEdgeCases:
         cluster = _cluster(graph, assets, routing="hash", processors=2,
                            steal=False)
         nodes = [n for n in range(0, 30, 2) if graph.has_node(n)]  # all even
-        report = cluster.run(_queries(nodes))
+        report = _run(cluster, _queries(nodes))
         assert {r.processor for r in report.records} == {0}
         assert cluster.processors[1].queries_executed == 0
 
@@ -146,7 +146,7 @@ class TestEdgeCases:
         # next_ready keeps everything in the shared pool: every processor
         # pulls from it without any record being marked stolen.
         cluster = _cluster(graph, assets, routing="next_ready", processors=3)
-        report = cluster.run(_queries(range(12)))
+        report = _run(cluster, _queries(range(12)))
         assert report.stolen_count() == 0
         assert len({r.processor for r in report.records}) > 1
 
@@ -188,15 +188,21 @@ class TestEdgeCases:
     def test_submit_batch_waves_complete_all_queries(self, graph, assets):
         cluster = _cluster(graph, assets, routing="hash", processors=3,
                            submit_batch=4)
-        report = cluster.run(_queries(range(19)))
+        report = _run(cluster, _queries(range(19)))
         assert len(report.records) == 19
         assert len({r.query_id for r in report.records}) == 19
 
     def test_invalid_submit_batch_rejected(self, graph, assets):
-        cluster = _cluster(graph, assets, routing="hash", processors=2,
-                           submit_batch=0)
-        with pytest.raises(ValueError):
-            cluster.run(_queries(range(3)))
+        # Checked when the service is built, so an open-loop serve() (which
+        # never asks for a wave size) cannot run on a bad config either.
+        for bad in (0, -4):
+            with pytest.raises(ValueError, match="submit_batch"):
+                _cluster(graph, assets, routing="hash", processors=2,
+                         submit_batch=bad)
+        cluster = _cluster(graph, assets, routing="hash", processors=2)
+        with pytest.raises(ValueError, match="submit_batch"):
+            cluster.set_routing(submit_batch=0)
+        assert cluster.config.submit_batch is None
 
 
 class TestLifecycleGuards:
@@ -263,7 +269,7 @@ class TestRoutingFeedback:
         cluster = _cluster(graph, assets, routing="hash", processors=2)
         received = []
         cluster.strategy.on_feedback = received.append
-        cluster.run(_queries(range(9)))
+        _run(cluster, _queries(range(9)))
         assert len(received) == 9
         for fb in received:
             assert fb.response_time > 0
@@ -275,7 +281,7 @@ class TestRoutingFeedback:
 
     def test_records_carry_routing_labels(self, graph, assets):
         cluster = _cluster(graph, assets, routing="hash", processors=2)
-        report = cluster.run(_queries(range(6)))
+        report = _run(cluster, _queries(range(6)))
         assert all(r.routed_via == "hash" for r in report.records)
         assert all(r.query_class == "traversal" for r in report.records)
         assert report.per_arm_counts() == {"hash": 6}

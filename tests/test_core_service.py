@@ -3,18 +3,18 @@ windowed reports, live reconfiguration, lifecycle errors."""
 
 import pytest
 
-from repro import ClusterConfig, GraphService, QueryIdAllocator
+from repro import ClusterConfig, GraphService, run_workload
 from repro.core import GraphAssets
 from repro.datasets import memetracker_like
-from repro.workloads import hotspot_workload, zipfian_stream, zipfian_workload
+from repro.workloads import hotspot_stream, zipfian_stream
 
 
 @pytest.fixture(scope="module")
 def setup():
     graph = memetracker_like(scale=0.05, seed=2)
     assets = GraphAssets(graph)
-    queries = hotspot_workload(graph, num_hotspots=10, queries_per_hotspot=10,
-                               radius=2, hops=2, seed=1, csr=assets.csr_both)
+    queries = list(hotspot_stream(graph, num_hotspots=10, queries_per_hotspot=10,
+                                  radius=2, hops=2, seed=1, csr=assets.csr_both))
     return graph, assets, queries
 
 
@@ -66,12 +66,11 @@ class TestSessions:
 
     def test_stream_accepts_generator(self, setup):
         graph, assets, _queries = setup
-        with _service(graph, assets) as service:
+        with _service(graph, assets, submit_batch=16) as service:
             with service.session() as session:
                 submitted = session.stream(
                     zipfian_stream(graph, num_queries=60, skew=2.0,
                                    csr=assets.csr_both),
-                    batch=16,
                 )
                 report = session.report()
         assert submitted == 60
@@ -109,28 +108,13 @@ class TestSessions:
         second_ids = {r.query_id for r in second_report.records}
         assert not first_ids & second_ids
 
-    def test_session_id_allocator_re_ids(self, setup):
-        graph, assets, queries = setup
-        with _service(graph, assets) as service:
-            with service.session(
-                id_allocator=QueryIdAllocator(start=1_000_000)
-            ) as session:
-                submitted = session.submit_many(queries[:8])
-                report = session.report()
-        assert [q.query_id for q in submitted] == list(
-            range(1_000_000, 1_000_008)
-        )
-        assert {r.query_id for r in report.records} == set(
-            range(1_000_000, 1_000_008)
-        )
-
 
 class TestWarmContinuation:
     def test_second_session_hit_ratio_strictly_higher(self, setup):
         """The satellite claim: repeat traffic finds the caches warm."""
         graph, assets, _queries = setup
-        workload = zipfian_workload(graph, num_queries=150, skew=2.0, seed=5,
-                                    csr=assets.csr_both)
+        workload = list(zipfian_stream(graph, num_queries=150, skew=2.0, seed=5,
+                                       csr=assets.csr_both))
         with _service(graph, assets) as service:
             with service.session() as first:
                 first.stream(workload)
@@ -157,8 +141,8 @@ class TestWarmContinuation:
 
     def test_adaptive_state_survives_session_boundary(self, setup):
         graph, assets, _queries = setup
-        workload = zipfian_workload(graph, num_queries=400, skew=2.0, seed=6,
-                                    csr=assets.csr_both)
+        workload = list(zipfian_stream(graph, num_queries=400, skew=2.0, seed=6,
+                                       csr=assets.csr_both))
         with _service(graph, assets, routing="adaptive",
                       adaptive_epoch=8) as service:
             with service.session() as first:
@@ -264,8 +248,8 @@ class TestLiveReconfiguration:
 
     def test_set_routing_carries_adaptive_state(self, setup):
         graph, assets, _queries = setup
-        workload = zipfian_workload(graph, num_queries=300, skew=2.0, seed=7,
-                                    csr=assets.csr_both)
+        workload = list(zipfian_stream(graph, num_queries=300, skew=2.0, seed=7,
+                                       csr=assets.csr_both))
         with _service(graph, assets, routing="adaptive",
                       adaptive_epoch=8) as service:
             with service.session() as session:
@@ -374,12 +358,11 @@ class TestLifecycleErrors:
 
 class TestCompatWrapper:
     def test_cluster_run_equals_service_session(self, setup):
-        from repro import GRoutingCluster
-
+        """``run_workload`` is exactly one session on a fresh service."""
         graph, assets, queries = setup
-        cluster_report = GRoutingCluster(
-            graph, _config("embed"), assets=assets
-        ).run(queries)
+        cluster_report = run_workload(
+            graph, queries, _config("embed"), assets=assets
+        )
         with _service(graph, assets, routing="embed") as service:
             with service.session() as session:
                 session.stream(queries)

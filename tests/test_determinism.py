@@ -21,7 +21,7 @@ import pytest
 from repro import ClusterConfig, GraphService
 from repro.core import GraphAssets
 from repro.datasets import memetracker_like
-from repro.workloads import hotspot_workload
+from repro.workloads import hotspot_stream
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,8 +30,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 def workload():
     graph = memetracker_like(scale=0.05, seed=2)
     assets = GraphAssets(graph)
-    queries = hotspot_workload(graph, num_hotspots=8, queries_per_hotspot=10,
-                               radius=2, hops=2, seed=1, csr=assets.csr_both)
+    queries = list(hotspot_stream(graph, num_hotspots=8, queries_per_hotspot=10,
+                                  radius=2, hops=2, seed=1, csr=assets.csr_both))
     return graph, assets, queries
 
 

@@ -8,7 +8,7 @@ from repro import ClusterConfig, GraphService, GraphUpdate
 from repro.core import GraphAssets, NeighborAggregationQuery
 from repro.graph import CSRGraph, Graph, GraphError
 from repro.graph.updates import apply_updates, validate_updates
-from repro.workloads import churn_stream, churn_workload
+from repro.workloads import churn_stream
 
 
 def ring_graph(n=12):
@@ -257,8 +257,8 @@ class TestServiceLiveUpdates:
 
     def test_materialized_storage_holds_rewritten_record(self):
         graph = ring_graph(8)
-        config = _config("hash", materialize_storage=True)
-        with GraphService.open(graph, config) as service:
+        with GraphService.open(graph, _config("hash")) as service:
+            service.tier.load_graph(service.assets.graph)
             service.apply_updates([GraphUpdate.add_edge(0, 4)])
             from repro.storage import AdjacencyRecord
             payload = service.tier.locate(0).store.get(0)
@@ -499,8 +499,8 @@ class TestChurnStream:
         graph = ring_graph(30)
         kwargs = dict(num_hotspots=3, rounds=2, queries_per_visit=5,
                       radius=1, update_every=2, seed=5)
-        first = churn_workload(graph, **kwargs)
-        second = churn_workload(graph, **kwargs)
+        first = list(churn_stream(graph, **kwargs))
+        second = list(churn_stream(graph, **kwargs))
         assert [type(i).__name__ for i in first] == [
             type(i).__name__ for i in second
         ]
@@ -517,23 +517,24 @@ class TestChurnStream:
     def test_generation_does_not_mutate_graph(self):
         graph = ring_graph(30)
         edges_before = set(graph.edges())
-        churn_workload(graph, num_hotspots=2, rounds=2, queries_per_visit=4,
-                       radius=1, seed=1)
+        list(churn_stream(graph, num_hotspots=2, rounds=2, queries_per_visit=4,
+                          radius=1, seed=1))
         assert set(graph.edges()) == edges_before
 
     def test_session_stream_applies_updates_in_order(self):
         graph = ring_graph(30)
-        workload = churn_workload(
+        workload = list(churn_stream(
             graph.copy(), num_hotspots=3, rounds=2, queries_per_visit=5,
             radius=1, update_every=2, new_node_prob=0.6, seed=5,
-        )
+        ))
         num_queries = sum(
             1 for i in workload if not isinstance(i, GraphUpdate)
         )
         num_updates = len(workload) - num_queries
-        with GraphService.open(graph, _config("hash")) as service:
+        config = _config("hash", submit_batch=8)
+        with GraphService.open(graph, config) as service:
             with service.session() as session:
-                submitted = session.stream(workload, batch=8)
+                submitted = session.stream(workload)
                 report = session.report()
             assert submitted == num_queries
             assert len(report.records) == num_queries
@@ -545,13 +546,14 @@ class TestChurnStream:
         results = {}
         for routing in ("hash", "embed"):
             graph = base.copy()
-            workload = churn_workload(
+            workload = list(churn_stream(
                 graph, num_hotspots=3, rounds=2, queries_per_visit=5,
                 radius=1, seed=9,
-            )
-            with GraphService.open(graph, _config(routing)) as service:
+            ))
+            config = _config(routing, submit_batch=8)
+            with GraphService.open(graph, config) as service:
                 with service.session() as session:
-                    session.stream(workload, batch=8)
+                    session.stream(workload)
                     report = session.report()
                 results[routing] = (
                     len(report.records),
@@ -570,7 +572,7 @@ class TestChurnStream:
         seed_edges = set(graph.edges())
         removed = [
             (item.u, item.v)
-            for item in churn_workload(
+            for item in churn_stream(
                 graph, num_hotspots=4, rounds=3, queries_per_visit=8,
                 radius=1, update_every=2, new_node_prob=0.2,
                 remove_prob=0.5, seed=11,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, GRoutingCluster, GraphAssets, GraphService
+from repro import ClusterConfig, GraphAssets, run_workload
 from repro.core import (
     KSourceReachabilityQuery,
     NeighborAggregationQuery,
@@ -64,7 +64,7 @@ def _run_single(graph, assets, query, **config_kwargs):
     )
     params.update(config_kwargs)
     config = ClusterConfig(**params)
-    report = GRoutingCluster(graph, config, assets=assets).run([query])
+    report = run_workload(graph, [query], config, assets=assets)
     assert len(report.records) == 1
     return report.records[0]
 
@@ -402,13 +402,10 @@ class TestNewFamiliesThroughSessions:
         config = ClusterConfig(
             num_processors=3, num_storage_servers=2, routing="adaptive",
             cache_capacity_bytes=1 << 20, embed_method="lmds",
-            adaptive_epoch=4,
+            adaptive_epoch=4, submit_batch=8,
         )
-        with GraphService.open(random_graph, config,
-                               assets=random_assets) as service:
-            with service.session() as session:
-                session.stream(workload, batch=8)
-                report = session.report()
+        report = run_workload(random_graph, workload, config,
+                              assets=random_assets)
         stats = report.per_operator_stats()
         assert stats["ppr"]["queries"] == 12
         assert stats["k_reach"]["queries"] == 8

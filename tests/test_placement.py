@@ -18,7 +18,7 @@ from repro.storage import (
     pick_read_replica,
     record_for_node,
 )
-from repro.workloads import shifting_hotspot_workload
+from repro.workloads import shifting_hotspot_stream
 
 
 def ring_graph(n=12):
@@ -218,8 +218,8 @@ class TestTierReplicaRouting:
             assert plan == {other: [node]}
 
     def test_store_record_writes_all_replicas(self):
-        config = _config(materialize_storage=True)
-        with GraphService.open(ring_graph(), config) as service:
+        with GraphService.open(ring_graph(), _config()) as service:
+            service.tier.load_graph(service.assets.graph)
             tier = service.tier
             directory = self._attached(service)
             node = 0
@@ -232,8 +232,8 @@ class TestTierReplicaRouting:
                 assert node in tier.servers[sid].store
 
     def test_read_fails_over_to_live_replica(self):
-        config = _config(materialize_storage=True)
-        with GraphService.open(ring_graph(), config) as service:
+        with GraphService.open(ring_graph(), _config()) as service:
+            service.tier.load_graph(service.assets.graph)
             tier = service.tier
             directory = self._attached(service)
             node = 0
@@ -268,8 +268,8 @@ class TestReplicaCoherenceUnderFailure:
         return directory, home
 
     def test_write_all_updates_every_replica(self):
-        config = _config(materialize_storage=True)
-        with GraphService.open(ring_graph(), config) as service:
+        with GraphService.open(ring_graph(), _config()) as service:
+            service.tier.load_graph(service.assets.graph)
             directory, home = self._replicate(service, 0)
             service.apply_updates([GraphUpdate.add_edge(0, 6)])
             tier = service.tier
@@ -287,8 +287,8 @@ class TestReplicaCoherenceUnderFailure:
         # the batch *succeeds*; the dead replica leaves the directory at
         # the failure-known instant; caches and staleness behave as for
         # any applied update.
-        config = _config(materialize_storage=True)
-        with GraphService.open(ring_graph(), config) as service:
+        with GraphService.open(ring_graph(), _config()) as service:
+            service.tier.load_graph(service.assets.graph)
             tier = service.tier
             directory, home = self._replicate(service, 0)
             survivor = 1 - home
@@ -320,8 +320,8 @@ class TestReplicaCoherenceUnderFailure:
         # Losing every copy of a dirty key is still a failed write: the
         # legacy StorageServerDown surfaces and the replica set is kept
         # (dead), so later reads surface the loss too.
-        config = _config(materialize_storage=True)
-        with GraphService.open(ring_graph(), config) as service:
+        with GraphService.open(ring_graph(), _config()) as service:
+            service.tier.load_graph(service.assets.graph)
             directory, home = self._replicate(service, 0)
             for server in service.tier.servers:
                 server.fail()
@@ -342,10 +342,9 @@ class TestPlacementManager:
             "half_life_s": 10.0,
             **placement_kw,
         })
-        return GraphService.open(
-            ring_graph(), _config(materialize_storage=True,
-                                  placement=placement),
-        )
+        service = GraphService.open(ring_graph(), _config(placement=placement))
+        service.tier.load_graph(service.assets.graph)
+        return service
 
     def test_replication_plans_execute_and_land_copies(self):
         with self._service(heat_threshold=2.0, replicate_threshold=2.0,
@@ -488,10 +487,10 @@ class TestEmptyDirectoryParity:
     def _run(graph, placement):
         config = _config(placement=placement)
         with query_ids_from(QueryIdAllocator(start=9_000_000)):
-            queries = shifting_hotspot_workload(
+            queries = list(shifting_hotspot_stream(
                 graph, num_phases=2, queries_per_phase=40, radius=1,
                 hops=2, seed=3,
-            )
+            ))
         with GraphService.open(graph, config) as service:
             with service.session() as session:
                 for query in queries:

@@ -1,0 +1,92 @@
+"""The public surface, pinned: every exported name and every config knob.
+
+Adding a name to a package ``__all__`` or a field to ``ClusterConfig``
+fails here until the literal below grows by one line — which is the
+point: a new name or knob should be a visible diff, and ROADMAP aim 2
+asks what it lets us delete.
+"""
+
+from dataclasses import fields
+
+import repro
+import repro.core
+import repro.workloads
+from repro import ClusterConfig, run_workload
+from repro.graph import ring_of_cliques
+from repro.workloads import uniform_stream
+
+REPRO = """
+ChaosEvent ClusterConfig CostModel DEFAULT_COSTS ETHERNET ETHERNET_COSTS
+GraphAssets GraphService GraphUpdate INFINIBAND KSourceReachabilityQuery
+NeighborAggregationQuery NeighborhoodSampleQuery NetworkModel
+PersonalizedPageRankQuery QueryIdAllocator QueryOperator QuerySession
+RandomWalkQuery ReachabilityQuery SpeedProfiles TopologyConfig
+UpdateReport WorkloadReport __version__ query_ids_from run_workload
+"""
+
+CORE = """
+ADMITTED AdaptiveRouting AdmissionConfig AdmissionController
+AdmissionStats CacheStats ChaosEvent ClusterConfig ClusterTopology
+EmbedRouting GraphAssets GraphService HashRouting
+KSourceReachabilityQuery LandmarkRouting LiveUpdateManager
+NeighborAggregationQuery NeighborhoodSampleQuery NextReadyRouting
+OperatorRegistry PersonalizedPageRankQuery PlacementConfig
+PlacementManager ProcessorCache QUERY_CLASSES Query QueryIdAllocator
+QueryOperator QueryProcessor QueryRecord QuerySession QueryStats
+REJECTED ROUTING_CHOICES RandomWalkQuery ReachabilityQuery Router
+RoutingFeedback RoutingStrategy SHED TenantAdmissionStats TopologyConfig
+UnknownOperatorError UnknownQueryTypeError UpdateReport WorkloadReport
+default_registry gather_nodes query_class query_ids_from run_workload
+"""
+
+WORKLOADS = """
+Arrival DEFAULT_MIX FULL_MIX churn_stream diurnal_arrivals
+flash_crowd_arrivals hotspot_stream interleave k_reach_stream
+merge_arrivals poisson_arrivals ppr_stream sample_stream
+shifting_hotspot_stream uniform_stream zipfian_stream
+"""
+
+CONFIG_FIELDS = """
+num_processors num_storage_servers routing cache_capacity_bytes
+cache_policy costs load_factor alpha dim num_landmarks min_separation
+embed_method steal seed adaptive_arms epsilon adaptive_epoch
+submit_batch update_refresh_interval placement topology speed_profiles
+"""
+
+
+def _exported(module):
+    names = list(module.__all__)
+    assert len(names) == len(set(names)), "duplicate name in __all__"
+    for name in names:
+        assert hasattr(module, name), f"{module.__name__}.{name} is missing"
+    return sorted(names)
+
+
+def test_repro_exports():
+    assert _exported(repro) == sorted(REPRO.split())
+
+
+def test_core_exports():
+    assert _exported(repro.core) == sorted(CORE.split())
+
+
+def test_workloads_exports():
+    assert _exported(repro.workloads) == sorted(WORKLOADS.split())
+
+
+def test_cluster_config_fields():
+    # In declaration order, so a moved field shows up as well as a new one.
+    assert [f.name for f in fields(ClusterConfig)] == CONFIG_FIELDS.split()
+
+
+def test_run_workload_is_cold_per_call():
+    graph = ring_of_cliques(6, 5)
+    queries = list(uniform_stream(graph, num_queries=40, seed=3))
+    config = ClusterConfig(
+        routing="embed", num_processors=3, num_storage_servers=2,
+        num_landmarks=6, min_separation=1, dim=3, embed_method="lmds",
+    )
+    first = run_workload(graph, queries, config)
+    second = run_workload(graph, queries, config)
+    assert first == second
+    assert first.total_cache_misses() > 0

@@ -4,12 +4,13 @@ import pytest
 
 from repro.core import (
     ClusterConfig,
-    GRoutingCluster,
     GraphAssets,
+    GraphService,
     NeighborAggregationQuery,
     RandomWalkQuery,
     ReachabilityQuery,
     query_class,
+    run_workload,
 )
 from repro.core.routing import AdaptiveRouting, RoutingFeedback, RoutingStrategy
 from repro.graph import ring_of_cliques
@@ -337,10 +338,9 @@ class TestClusterIntegration:
             embed_method="lmds",
             adaptive_epoch=8,
         )
-        cluster = GRoutingCluster(graph, config, assets=assets)
         queries = [NeighborAggregationQuery(node=n % 40, hops=2)
                    for n in range(120)]
-        report = cluster.run(queries)
+        report = run_workload(graph, queries, config, assets=assets)
         assert len(report.records) == 120
         labels = {r.routed_via for r in report.records}
         assert labels <= {"adaptive:hash", "adaptive:landmark",
@@ -354,7 +354,7 @@ class TestClusterIntegration:
         config = ClusterConfig(routing="adaptive",
                                adaptive_arms=("hash", "adaptive"))
         with pytest.raises(ValueError):
-            GRoutingCluster(graph, config, assets=assets)
+            GraphService(graph, config, assets=assets)
 
     def test_no_cache_arm_rejected(self, graph, assets):
         # "no_cache" is a cluster mode, not a routing decision: as an arm it
@@ -362,9 +362,9 @@ class TestClusterIntegration:
         config = ClusterConfig(routing="adaptive",
                                adaptive_arms=("no_cache", "embed"))
         with pytest.raises(ValueError):
-            GRoutingCluster(graph, config, assets=assets)
+            GraphService(graph, config, assets=assets)
 
     def test_empty_adaptive_arms_rejected(self, graph, assets):
         config = ClusterConfig(routing="adaptive", adaptive_arms=())
         with pytest.raises(ValueError):
-            GRoutingCluster(graph, config, assets=assets)
+            GraphService(graph, config, assets=assets)

@@ -18,7 +18,7 @@ from repro.datasets import memetracker_like
 from repro.graph import erdos_renyi
 from repro.sim import Environment, SimulationError
 from repro.storage import StorageTier
-from repro.workloads import hotspot_workload
+from repro.workloads import hotspot_stream
 
 
 class TestPooledTimeoutRetention:
@@ -446,9 +446,9 @@ class TestSanitizeParity:
     def workload(self):
         graph = memetracker_like(scale=0.03, seed=3)
         assets = GraphAssets(graph)
-        queries = hotspot_workload(graph, num_hotspots=5,
-                                   queries_per_hotspot=8, radius=2, hops=2,
-                                   seed=1, csr=assets.csr_both)
+        queries = list(hotspot_stream(graph, num_hotspots=5,
+                                      queries_per_hotspot=8, radius=2, hops=2,
+                                      seed=1, csr=assets.csr_both))
         return graph, assets, queries
 
     @staticmethod

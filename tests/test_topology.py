@@ -9,8 +9,8 @@ from repro.core import ChaosEvent, NeighborAggregationQuery
 from repro.core.queries import QueryIdAllocator, query_ids_from
 from repro.core.routing import HashRouting
 from repro.core.topology import CHAOS_ACTIONS
-from repro.graph import Graph, GraphUpdate, ring_of_cliques
-from repro.workloads import poisson_arrivals, shifting_hotspot_workload
+from repro.graph import GraphUpdate, ring_of_cliques
+from repro.workloads import poisson_arrivals, shifting_hotspot_stream
 
 
 @pytest.fixture(scope="module")
@@ -229,10 +229,10 @@ class TestInertTopologyParity:
     def _run(graph, topology):
         config = _config(routing="embed", topology=topology)
         with query_ids_from(QueryIdAllocator(start=9_500_000)):
-            queries = shifting_hotspot_workload(
+            queries = list(shifting_hotspot_stream(
                 graph, num_phases=2, queries_per_phase=40, radius=1,
                 hops=2, seed=3,
-            )
+            ))
         with GraphService.open(graph, config) as service:
             if service.topology is not None:
                 service.topology.schedule([])  # empty schedule: no process

@@ -14,18 +14,12 @@ from repro.graph import CSRGraph, Graph, bfs_distances, ring_of_cliques
 from repro.workloads import (
     FULL_MIX,
     hotspot_stream,
-    hotspot_workload,
     interleave,
     k_reach_stream,
-    k_reach_workload,
     ppr_stream,
-    ppr_workload,
     sample_stream,
-    sample_workload,
     uniform_stream,
-    uniform_workload,
     zipfian_stream,
-    zipfian_workload,
 )
 
 
@@ -36,13 +30,13 @@ def graph():
 
 class TestHotspotWorkload:
     def test_count_and_grouping(self, graph):
-        queries = hotspot_workload(graph, num_hotspots=5,
-                                   queries_per_hotspot=10, seed=1)
+        queries = list(hotspot_stream(graph, num_hotspots=5,
+                                      queries_per_hotspot=10, seed=1))
         assert len(queries) == 50
 
     def test_uniform_mix_of_query_types(self, graph):
-        queries = hotspot_workload(graph, num_hotspots=6,
-                                   queries_per_hotspot=9, seed=1)
+        queries = list(hotspot_stream(graph, num_hotspots=6,
+                                      queries_per_hotspot=9, seed=1))
         kinds = {
             NeighborAggregationQuery: 0,
             RandomWalkQuery: 0,
@@ -55,9 +49,9 @@ class TestHotspotWorkload:
     def test_hotspot_queries_are_local(self, graph):
         # Any two query nodes of one hotspot lie within 2r hops (§4.1).
         radius = 2
-        queries = hotspot_workload(graph, num_hotspots=8,
-                                   queries_per_hotspot=5, radius=radius,
-                                   seed=3)
+        queries = list(hotspot_stream(graph, num_hotspots=8,
+                                      queries_per_hotspot=5, radius=radius,
+                                      seed=3))
         for h in range(8):
             group = [q.node for q in queries[h * 5:(h + 1) * 5]]
             anchor = group[0]
@@ -67,75 +61,75 @@ class TestHotspotWorkload:
 
     def test_reachability_targets_in_same_hotspot(self, graph):
         radius = 1
-        queries = hotspot_workload(graph, num_hotspots=10,
-                                   queries_per_hotspot=3, radius=radius,
-                                   seed=5)
+        queries = list(hotspot_stream(graph, num_hotspots=10,
+                                      queries_per_hotspot=3, radius=radius,
+                                      seed=5))
         for query in queries:
             if isinstance(query, ReachabilityQuery):
                 dist = bfs_distances(graph, query.node, max_hops=4 * radius)
                 assert query.target in dist
 
     def test_deterministic(self, graph):
-        a = hotspot_workload(graph, 4, 4, seed=9)
-        b = hotspot_workload(graph, 4, 4, seed=9)
+        a = list(hotspot_stream(graph, 4, 4, seed=9))
+        b = list(hotspot_stream(graph, 4, 4, seed=9))
         assert [(type(q), q.node) for q in a] == [(type(q), q.node) for q in b]
 
     def test_respects_prebuilt_csr(self, graph):
         csr = CSRGraph.from_graph(graph, direction="both")
-        queries = hotspot_workload(graph, 3, 3, seed=2, csr=csr)
+        queries = list(hotspot_stream(graph, 3, 3, seed=2, csr=csr))
         assert len(queries) == 9
 
     def test_custom_mix(self, graph):
-        queries = hotspot_workload(graph, 2, 4, mix=("walk",), seed=1)
+        queries = list(hotspot_stream(graph, 2, 4, mix=("walk",), seed=1))
         assert all(isinstance(q, RandomWalkQuery) for q in queries)
 
     def test_invalid_parameters(self, graph):
         with pytest.raises(ValueError):
-            hotspot_workload(graph, 0, 5)
+            list(hotspot_stream(graph, 0, 5))
         with pytest.raises(ValueError):
-            hotspot_workload(graph, 5, 5, radius=-1)
+            list(hotspot_stream(graph, 5, 5, radius=-1))
         with pytest.raises(ValueError):
-            hotspot_workload(graph, 5, 5, mix=())
+            list(hotspot_stream(graph, 5, 5, mix=()))
         with pytest.raises(ValueError):
-            hotspot_workload(graph, 5, 5, mix=("teleport",))
+            list(hotspot_stream(graph, 5, 5, mix=("teleport",)))
 
     def test_graph_without_edges_rejected(self):
         g = Graph()
         g.add_node(1)
         with pytest.raises(ValueError):
-            hotspot_workload(g, 1, 1)
+            list(hotspot_stream(g, 1, 1))
 
 
 class TestUniformWorkload:
     def test_count(self, graph):
-        assert len(uniform_workload(graph, num_queries=33, seed=1)) == 33
+        assert len(list(uniform_stream(graph, num_queries=33, seed=1))) == 33
 
     def test_spreads_over_graph(self, graph):
-        queries = uniform_workload(graph, num_queries=200, seed=1)
+        queries = list(uniform_stream(graph, num_queries=200, seed=1))
         # Uniform sampling should touch most cliques.
         cliques = {q.node // 8 for q in queries}
         assert len(cliques) >= 8
 
     def test_invalid_count(self, graph):
         with pytest.raises(ValueError):
-            uniform_workload(graph, num_queries=0)
+            list(uniform_stream(graph, num_queries=0))
 
 
 class TestStreams:
     def test_streams_are_lazy_but_match_lists(self, graph):
-        for stream_fn, list_fn, kwargs in (
-            (hotspot_stream, hotspot_workload,
+        for stream_fn, kwargs in (
+            (hotspot_stream,
              dict(num_hotspots=4, queries_per_hotspot=5, seed=3)),
-            (uniform_stream, uniform_workload,
-             dict(num_queries=25, seed=3)),
-            (zipfian_stream, zipfian_workload,
-             dict(num_queries=25, skew=1.5, seed=3)),
+            (uniform_stream, dict(num_queries=25, seed=3)),
+            (zipfian_stream, dict(num_queries=25, skew=1.5, seed=3)),
         ):
             stream = stream_fn(graph, **kwargs)
             assert iter(stream) is stream  # a true generator, no len()
             streamed = [(type(q), q.node) for q in stream]
-            listed = [(type(q), q.node) for q in list_fn(graph, **kwargs)]
-            assert streamed == listed
+            # list(...) of a second stream is the materialised form.
+            listed = list(stream_fn(graph, **kwargs))
+            assert streamed == [(type(q), q.node) for q in listed]
+            assert list(stream) == []  # single pass: now exhausted
 
     def test_stream_validation_is_eager(self, graph):
         # Bad arguments must fail at call time, not at first consumption.
@@ -174,8 +168,8 @@ class TestStreams:
 
 class TestFullMixAndRegistryKinds:
     def test_full_mix_yields_all_six_operators(self, graph):
-        queries = uniform_workload(graph, num_queries=60, mix=FULL_MIX,
-                                   seed=2)
+        queries = list(uniform_stream(graph, num_queries=60, mix=FULL_MIX,
+                                      seed=2))
         kinds = {type(q) for q in queries}
         assert kinds == {
             NeighborAggregationQuery, RandomWalkQuery, ReachabilityQuery,
@@ -185,9 +179,9 @@ class TestFullMixAndRegistryKinds:
 
     def test_hotspot_full_mix_sources_stay_in_ball(self, graph):
         radius = 1
-        queries = hotspot_workload(graph, num_hotspots=6,
-                                   queries_per_hotspot=6, radius=radius,
-                                   mix=("k_reach",), seed=4)
+        queries = list(hotspot_stream(graph, num_hotspots=6,
+                                      queries_per_hotspot=6, radius=radius,
+                                      mix=("k_reach",), seed=4))
         for query in queries:
             dist = bfs_distances(graph, query.node, max_hops=4 * radius)
             for anchor in query.all_sources():
@@ -225,19 +219,16 @@ class TestFullMixAndRegistryKinds:
 
 class TestFamilyStreams:
     def test_streams_match_workload_lists(self, graph):
-        for stream_fn, list_fn, kwargs in (
-            (ppr_stream, ppr_workload,
-             dict(num_queries=15, walks=2, steps=3, seed=3)),
-            (k_reach_stream, k_reach_workload,
-             dict(num_queries=15, num_sources=3, seed=3)),
-            (sample_stream, sample_workload,
-             dict(num_queries=15, fanouts=(4, 2), seed=3)),
+        for stream_fn, kwargs in (
+            (ppr_stream, dict(num_queries=15, walks=2, steps=3, seed=3)),
+            (k_reach_stream, dict(num_queries=15, num_sources=3, seed=3)),
+            (sample_stream, dict(num_queries=15, fanouts=(4, 2), seed=3)),
         ):
             stream = stream_fn(graph, **kwargs)
             assert iter(stream) is stream  # a true generator, no len()
             streamed = [(type(q), q.node) for q in stream]
-            listed = [(type(q), q.node) for q in list_fn(graph, **kwargs)]
-            assert streamed == listed
+            listed = list(stream_fn(graph, **kwargs))
+            assert streamed == [(type(q), q.node) for q in listed]
 
     def test_validation_is_eager(self, graph):
         with pytest.raises(ValueError):
@@ -255,8 +246,8 @@ class TestFamilyStreams:
 
     def test_k_reach_batches_draw_from_one_ball(self, graph):
         radius = 1
-        for query in k_reach_workload(graph, num_queries=10, num_sources=4,
-                                      radius=radius, seed=7):
+        for query in list(k_reach_stream(graph, num_queries=10, num_sources=4,
+                                         radius=radius, seed=7)):
             assert len(query.all_sources()) <= 4
             # All anchors + target lie within 2*radius of the primary.
             dist = bfs_distances(graph, query.node, max_hops=4 * radius)
@@ -265,23 +256,23 @@ class TestFamilyStreams:
             assert query.target in dist
 
     def test_ppr_zipf_seeds_repeat(self, graph):
-        queries = ppr_workload(graph, num_queries=200, skew=2.0, seed=1)
+        queries = list(ppr_stream(graph, num_queries=200, skew=2.0, seed=1))
         counts = {}
         for query in queries:
             counts[query.node] = counts.get(query.node, 0) + 1
         assert max(counts.values()) > 20  # hot seeds dominate
 
     def test_deterministic(self, graph):
-        a = [(q.node, q.seed) for q in ppr_workload(graph, num_queries=20,
-                                                    seed=9)]
-        b = [(q.node, q.seed) for q in ppr_workload(graph, num_queries=20,
-                                                    seed=9)]
+        a = [(q.node, q.seed) for q in list(ppr_stream(graph, num_queries=20,
+                                                       seed=9))]
+        b = [(q.node, q.seed) for q in list(ppr_stream(graph, num_queries=20,
+                                                       seed=9))]
         assert a == b
 
 
 class TestZipfianWorkload:
     def test_repeats_hot_nodes(self, graph):
-        queries = zipfian_workload(graph, num_queries=300, skew=1.5, seed=1)
+        queries = list(zipfian_stream(graph, num_queries=300, skew=1.5, seed=1))
         counts = {}
         for query in queries:
             counts[query.node] = counts.get(query.node, 0) + 1
@@ -290,4 +281,4 @@ class TestZipfianWorkload:
 
     def test_invalid_skew(self, graph):
         with pytest.raises(ValueError):
-            zipfian_workload(graph, skew=1.0)
+            list(zipfian_stream(graph, skew=1.0))
