@@ -56,11 +56,10 @@ from .costs import (
     INFINIBAND,
     CostModel,
     NetworkModel,
-    SpeedProfiles,
 )
 from .graph import GraphUpdate
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "ChaosEvent",
@@ -83,7 +82,6 @@ __all__ = [
     "QuerySession",
     "RandomWalkQuery",
     "ReachabilityQuery",
-    "SpeedProfiles",
     "TopologyConfig",
     "UpdateReport",
     "WorkloadReport",

@@ -225,8 +225,10 @@ def make_reachability(node: int, query_id: int, hops: int,
 K_REACH_EXTRA_SOURCES = 3
 
 
-def make_k_source_reachability(node: int, query_id: int, hops: int,
-                               ball: np.ndarray, rng: np.random.Generator) -> "KSourceReachabilityQuery":
+def make_k_source_reachability(
+    node: int, query_id: int, hops: int,
+    ball: np.ndarray, rng: np.random.Generator,
+) -> "KSourceReachabilityQuery":
     # Batch nearby anchors (same ball) so the k traversals overlap — the
     # regime where batching beats k independent probes.
     extras = tuple(

@@ -36,7 +36,6 @@ class QueryIdAllocator:
             raise ValueError("stride must be >= 1")
         if start < 0:
             raise ValueError("start must be >= 0")
-        self._start = start
         self._next = start
         self._stride = stride
 
@@ -44,18 +43,6 @@ class QueryIdAllocator:
         value = self._next
         self._next += self._stride
         return value
-
-    def reset(self, start: Optional[int] = None) -> None:
-        """Rewind the allocator (deterministic workload replays).
-
-        Defaults to the construction-time ``start``, so a strided
-        allocator rewinds onto its own lattice, not someone else's.
-        """
-        if start is None:
-            start = self._start
-        elif start < 0:
-            raise ValueError("start must be >= 0")
-        self._next = start
 
 
 #: Process-default allocator, used when no scoped allocator is active.

@@ -73,20 +73,6 @@ class Router:
         """
         self._closed = True
 
-    def set_strategy(self, strategy: RoutingStrategy) -> None:
-        """Swap the routing strategy between decisions (mid-session reconfig).
-
-        Already-routed queries keep their recorded decisions; feedback for
-        them flows to the *new* strategy, which must tolerate queries it
-        never chose (every strategy here does — static ones ignore
-        feedback, adaptive ones skip unknown query ids).
-        """
-        if self._closed:
-            raise RuntimeError("router is shut down; open a new GraphService")
-        if strategy is None:
-            raise ValueError("strategy must not be None")
-        self.strategy = strategy
-
     # -- submission ---------------------------------------------------------
     @property
     def num_processors(self) -> int:

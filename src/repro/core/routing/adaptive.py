@@ -624,97 +624,7 @@ class AdaptiveRouting(RoutingStrategy):
         )
         return BASE_DECISION_TIME + arm_time
 
-    # -- state persistence ----------------------------------------------------
-    def export_state(self) -> Dict[str, object]:
-        """Learned state, portable to a fresh :class:`AdaptiveRouting`.
-
-        Everything the bandit accumulated — score/latency EWMAs, pulls,
-        per-class commitments, repeat tracking and warmth signals — so a
-        reconfigured or re-created instance continues *committed* instead
-        of re-auditioning a cluster whose caches are already organised.
-        In-flight assignments and audition accumulators are deliberately
-        excluded: they only mean something to the instance that created
-        them.
-        """
-        return {
-            "score_ewma": dict(self._score_ewma),
-            "repeat_ewma": dict(self._repeat_ewma),
-            "latency_ewma": dict(self._latency_ewma),
-            "pulls": dict(self._pulls),
-            "assigned": dict(self._assigned),
-            "committed": dict(self._last_greedy),
-            "previous_commit": dict(self._previous_commit),
-            "switches": dict(self.switches),
-            "class_decisions": dict(self._class_decisions),
-            "class_nodes": {cls: set(nodes)
-                            for cls, nodes in self._class_nodes.items()},
-            "class_queries": dict(self._class_queries),
-            "class_repeats": dict(self._class_repeats),
-            "class_hit": {cls: list(entry)
-                          for cls, entry in self._class_hit.items()},
-            "hit_rate_ewma": self._hit_rate_ewma,
-            "imbalance_ewma": self._imbalance_ewma,
-            "feedback_seen": self._feedback_seen,
-            "commit_seeded": self._commit_seeded,
-            "auditions": self.auditions,
-        }
-
-    def import_state(self, state: Mapping[str, object]) -> None:
-        """Adopt state from :meth:`export_state` (arm-name intersection).
-
-        Entries for arms this instance does not have are dropped; arms the
-        exporter never measured simply start unmeasured. When the imported
-        state had already committed, the pending initial audition is
-        cancelled — the caches are warm and organised, so re-auditioning
-        from scratch would churn them for nothing (drift detection still
-        re-auditions if the commitment goes stale).
-        """
-        def keyed(name: str) -> Dict[Tuple[str, str], float]:
-            entries = state.get(name, {})
-            return {
-                key: value for key, value in dict(entries).items()
-                if key[1] in self.arms
-            }
-
-        self._score_ewma.update(keyed("score_ewma"))
-        self._repeat_ewma.update(keyed("repeat_ewma"))
-        self._latency_ewma.update(keyed("latency_ewma"))
-        self._pulls.update(keyed("pulls"))
-        self._assigned.update(keyed("assigned"))
-        for table, name in (
-            (self._class_decisions, "class_decisions"),
-            (self._class_queries, "class_queries"),
-            (self._class_repeats, "class_repeats"),
-        ):
-            table.update(dict(state.get(name, {})))
-        for cls, nodes in dict(state.get("class_nodes", {})).items():
-            self._class_nodes.setdefault(cls, set()).update(nodes)
-        for cls, entry in dict(state.get("class_hit", {})).items():
-            self._class_hit[cls] = list(entry)
-        self.switches.update(dict(state.get("switches", {})))
-        self._hit_rate_ewma = float(state.get("hit_rate_ewma", 0.0))
-        self._imbalance_ewma = float(state.get("imbalance_ewma", 1.0))
-        self._feedback_seen = int(state.get("feedback_seen", 0))
-        self.auditions = int(state.get("auditions", self.auditions))
-        committed = {
-            cls: arm
-            for cls, arm in dict(state.get("committed", {})).items()
-            if arm in self.arms
-        }
-        previous = {
-            cls: arm
-            for cls, arm in dict(state.get("previous_commit", {})).items()
-            if arm in self.arms
-        }
-        if bool(state.get("commit_seeded", False)):
-            self._last_greedy.update(committed)
-            self._previous_commit.update(previous)
-            self._commit_seeded = True
-            self._audition_queue.clear()
-            self._current_audition = None
-            self._audition_scheduled = True
-            self._epoch_pos = 0
-
+    # -- diagnostics ----------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Diagnostic view of the learned state (for reports and tests)."""
         return {

@@ -18,9 +18,6 @@ any request" (§2.3), so there is one serving path.
   adaptive routing state) warm; the next session starts where traffic
   left off, which is what lets benchmarks separate warm-up from steady
   state via windowed :meth:`~QuerySession.report`;
-* **live reconfiguration** — :meth:`~QuerySession.set_routing` swaps the
-  routing strategy mid-session without touching storage or caches,
-  carrying learned adaptive state across the swap;
 * **live graph updates** — :meth:`~QuerySession.apply_updates` mutates the
   served graph in place: dirty records are rewritten through the storage
   tier, invalidated from every processor cache, and routed by hash
@@ -43,14 +40,14 @@ close — for anything that does not need the live service afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from math import inf, nextafter
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional
 
 from typing import TYPE_CHECKING
 
-from ..costs import DEFAULT_COSTS, CostModel, SpeedProfiles
+from ..costs import DEFAULT_COSTS, CostModel
 from ..graph.digraph import Graph
 from ..graph.updates import GraphUpdate
 from ..sim import Environment, SimulationError
@@ -80,13 +77,8 @@ ROUTING_CHOICES = (
     "next_ready", "hash", "landmark", "embed", "no_cache", "adaptive",
 )
 
-#: Config fields that shape the deployed hardware/caches. They cannot be
-#: changed by a live ``set_routing`` — altering them means a new service.
-STRUCTURAL_FIELDS = frozenset({
-    "num_processors", "num_storage_servers", "cache_capacity_bytes",
-    "cache_policy", "costs", "steal", "placement", "speed_profiles",
-    "topology",
-})
+#: Static arms the adaptive strategy picks between per query class.
+ADAPTIVE_ARMS = ("hash", "landmark", "embed")
 
 
 @dataclass(frozen=True)
@@ -108,10 +100,6 @@ class ClusterConfig:
     steal: bool = True
     seed: int = 0
     # -- adaptive-routing knobs ----------------------------------------------
-    #: Static arms the adaptive strategy can pick per query class.
-    adaptive_arms: Tuple[str, ...] = ("hash", "landmark", "embed")
-    #: Base exploration rate of the per-class epsilon-greedy policy.
-    epsilon: float = 0.1
     #: Queries per audition epoch (each arm owns all traffic for one epoch).
     adaptive_epoch: int = 32
     #: Queries routed per submission wave. None = auto: everything at once
@@ -135,15 +123,6 @@ class ClusterConfig:
     #: None builds none of it; an attached-but-idle topology is inert
     #: (bit-identical to a service without one).
     topology: Optional[TopologyConfig] = None
-    #: Heterogeneous hardware: per-processor / per-server relative speed
-    #: multipliers (see :class:`~repro.costs.SpeedProfiles`). None = the
-    #: paper's homogeneous testbed, bit-for-bit.
-    speed_profiles: Optional[SpeedProfiles] = None
-
-
-def _check_submit_batch(config: ClusterConfig) -> None:
-    if config.submit_batch is not None and config.submit_batch < 1:
-        raise ValueError("submit_batch must be >= 1")
 
 
 class GraphService:
@@ -180,7 +159,11 @@ class GraphService:
             )
         if self.config.num_processors < 1:
             raise ValueError("need at least one query processor")
-        _check_submit_batch(self.config)
+        if self.config.cache_capacity_bytes < 0:
+            raise ValueError("cache_capacity_bytes must be >= 0")
+        batch = self.config.submit_batch
+        if batch is not None and batch < 1:
+            raise ValueError("submit_batch must be >= 1")
         self.assets = assets if assets is not None else GraphAssets(graph)
         # Shared staleness set: nodes whose routing info predates a graph
         # update. Created before the strategies so they can hold it by
@@ -192,21 +175,11 @@ class GraphService:
             num_servers=self.config.num_storage_servers,
             service_model=self.config.costs.storage,
         )
-        if self.config.speed_profiles is not None:
-            # Heterogeneous storage hardware: scale each server's service
-            # model in place (speed 2.0 = every cost halved). Processors
-            # get theirs via build_processor below.
-            for server in self.tier.servers:
-                speed = self.config.speed_profiles.storage_speed(
-                    server.server_id
-                )
-                if speed != 1.0:
-                    server.service = server.service.scaled(speed)
         self.processors: List[QueryProcessor] = [
             self.build_processor(i)
             for i in range(self.config.num_processors)
         ]
-        self.strategy = self._build_strategy(self.config)
+        self.strategy = self._build_strategy(self.config.routing)
         self.router = Router(
             self.env, self.strategy, self.processors, steal=self.config.steal
         )
@@ -230,27 +203,19 @@ class GraphService:
         self._active_session: Optional["QuerySession"] = None
         self._closed = False
 
-    def build_processor(
-        self, processor_id: int, speed: Optional[float] = None
-    ) -> QueryProcessor:
+    def build_processor(self, processor_id: int) -> QueryProcessor:
         """The one :class:`QueryProcessor` factory — founders here, joiners
         via :meth:`ClusterTopology.add_processor` — so a joiner cannot
-        drift from the founders. ``speed`` overrides the config's
-        :class:`~repro.costs.SpeedProfiles` entry for the id (1.0 =
-        baseline hardware). The worker is built cold and not yet started.
+        drift from the founders. The worker is built cold and not yet
+        started.
         """
         cfg = self.config
-        if speed is None and cfg.speed_profiles is not None:
-            speed = cfg.speed_profiles.processor_speed(processor_id)
-        costs = cfg.costs
-        if speed is not None and speed != 1.0:
-            costs = replace(costs, compute=costs.compute.scaled(speed))
         return QueryProcessor(
             self.env,
             processor_id=processor_id,
             tier=self.tier,
             assets=self.assets,
-            costs=costs,
+            costs=cfg.costs,
             cache_capacity_bytes=cfg.cache_capacity_bytes,
             cache_policy=cfg.cache_policy,
             use_cache=cfg.routing != "no_cache",
@@ -268,10 +233,8 @@ class GraphService:
         return cls(graph, config, assets=assets, **overrides)
 
     # -- strategy construction ----------------------------------------------
-    def _build_strategy(
-        self, cfg: ClusterConfig, routing: Optional[str] = None
-    ) -> RoutingStrategy:
-        routing = cfg.routing if routing is None else routing
+    def _build_strategy(self, routing: str) -> RoutingStrategy:
+        cfg = self.config
         if routing in ("next_ready", "no_cache"):
             return NextReadyRouting()
         if routing == "hash":
@@ -286,18 +249,9 @@ class GraphService:
                 index, load_factor=cfg.load_factor, staleness=self._stale
             )
         if routing == "adaptive":
-            if not cfg.adaptive_arms:
-                raise ValueError("adaptive routing needs at least one arm")
-            for arm in cfg.adaptive_arms:
-                # "no_cache" is not a routing decision but a cluster mode
-                # (caches off), which the adaptive wrapper can't honour —
-                # allowing it would mislabel cached next-ready dispatch.
-                if arm in ("adaptive", "no_cache") or arm not in ROUTING_CHOICES:
-                    raise ValueError(f"invalid adaptive arm {arm!r}")
             return AdaptiveRouting(
-                {arm: self._build_strategy(cfg, arm) for arm in cfg.adaptive_arms},
+                {arm: self._build_strategy(arm) for arm in ADAPTIVE_ARMS},
                 epoch=cfg.adaptive_epoch,
-                epsilon=cfg.epsilon,
                 seed=cfg.seed,
             )
         # embed
@@ -347,61 +301,6 @@ class GraphService:
     def _session_closed(self, session: "QuerySession") -> None:
         if self._active_session is session:
             self._active_session = None
-
-    # -- live reconfiguration -------------------------------------------------
-    def set_routing(
-        self,
-        routing: Optional[str] = None,
-        carry_state: bool = True,
-        **knobs,
-    ) -> RoutingStrategy:
-        """Swap the routing strategy without rebuilding storage or caches.
-
-        ``routing`` picks a new scheme (default: keep the current one);
-        ``knobs`` override algorithm fields of the config (load factors,
-        adaptive knobs, ...). Structural fields — processors, storage,
-        caches — are refused: changing them means deploying a new
-        service. Caches keep whatever the previous strategy organised
-        into them; that is the point.
-
-        When both the old and new strategies are adaptive and
-        ``carry_state`` is true, the learned arm state transfers, so the
-        new instance continues committed instead of re-auditioning warm
-        caches.
-        """
-        if self._closed:
-            raise RuntimeError("GraphService is closed")
-        structural = STRUCTURAL_FIELDS.intersection(knobs)
-        if structural:
-            raise ValueError(
-                f"cannot change structural fields {sorted(structural)} on a "
-                "live service; open a new GraphService instead"
-            )
-        new_routing = self.config.routing if routing is None else routing
-        if new_routing not in ROUTING_CHOICES:
-            raise ValueError(
-                f"unknown routing {new_routing!r}; choose from {ROUTING_CHOICES}"
-            )
-        if "no_cache" in (new_routing, self.config.routing) and (
-            new_routing != self.config.routing
-        ):
-            raise ValueError(
-                "cache mode is structural: cannot switch to or from "
-                "'no_cache' on a live service"
-            )
-        new_config = replace(self.config, routing=new_routing, **knobs)
-        _check_submit_batch(new_config)
-        new_strategy = self._build_strategy(new_config)
-        if (
-            carry_state
-            and isinstance(self.strategy, AdaptiveRouting)
-            and isinstance(new_strategy, AdaptiveRouting)
-        ):
-            new_strategy.import_state(self.strategy.export_state())
-        self.router.set_strategy(new_strategy)
-        self.config = new_config
-        self.strategy = new_strategy
-        return new_strategy
 
     # -- live graph updates -----------------------------------------------------
     def apply_updates(self, updates: Iterable[GraphUpdate]) -> UpdateReport:
@@ -813,20 +712,6 @@ class QuerySession:
         :meth:`GraphService.refresh_routing`)."""
         self._check_open()
         return self.service.refresh_routing()
-
-    # -- reconfiguration ---------------------------------------------------------
-    def set_routing(
-        self,
-        routing: Optional[str] = None,
-        carry_state: bool = True,
-        **knobs,
-    ) -> RoutingStrategy:
-        """Swap routing strategies mid-session (see
-        :meth:`GraphService.set_routing`); storage and caches stay put."""
-        self._check_open()
-        return self.service.set_routing(
-            routing, carry_state=carry_state, **knobs
-        )
 
     # -- reporting ---------------------------------------------------------------
     def report(

@@ -7,10 +7,8 @@ independently of the other. This module is the one place that changes
 membership on a **live** service:
 
 * **processing tier** — :meth:`ClusterTopology.add_processor` joins a
-  cold-cache worker built by the service's own processor factory
-  (optionally on heterogeneous hardware via
-  :class:`~repro.costs.SpeedProfiles`), registers it with the router and
-  drives the routing strategy's
+  cold-cache worker built by the service's own processor factory,
+  registers it with the router and drives the routing strategy's
   :meth:`~repro.core.routing.base.RoutingStrategy.on_membership_change`
   hook, which rebalances ownership tables with *bounded key movement*.
   :meth:`remove_processor` is the mirror: the router re-queues the
@@ -185,10 +183,10 @@ class ClusterTopology:
         processor.storage_retry_backoff_cap_s = cfg.retry_backoff_cap_s
 
     # -- processing-tier membership ------------------------------------------
-    def add_processor(self, speed: Optional[float] = None) -> int:
+    def add_processor(self) -> int:
         """Join a cold-cache processor at the next dense id; returns the id.
 
-        ``speed`` is passed to :meth:`GraphService.build_processor`, the
+        The joiner comes from :meth:`GraphService.build_processor`, the
         founders' factory. The routing strategy rebalances immediately —
         bounded movement, so only the joiner's share of keys moves — but
         the joiner earns traffic with an empty cache: the warmup cost is
@@ -198,7 +196,7 @@ class ClusterTopology:
         service = self.service
         router = service.router
         pid = router.num_processors
-        processor = service.build_processor(pid, speed)
+        processor = service.build_processor(pid)
         self._arm_retries(processor)
         service.processors.append(processor)
         router.add_processor(processor)

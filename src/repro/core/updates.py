@@ -258,9 +258,11 @@ class LiveUpdateManager:
         """Every landmark index and embedding this service can route with.
 
         Covers the *active* strategy (and adaptive arms), the
-        construction-time overrides, and the assets' memoized artifacts —
-        a later ``set_routing`` hands out exactly these objects, so all
-        of them must refresh before staleness may clear.
+        construction-time overrides, and the assets' memoized artifacts.
+        The memo belongs to the :class:`~repro.core.assets.GraphAssets`,
+        which several services may share: any service opened on them
+        later is handed exactly these objects for the graph this update
+        mutated, so all of them must refresh before staleness may clear.
         """
         service = self.service
         indexes: list = []
@@ -299,11 +301,11 @@ class LiveUpdateManager:
         in two passes so chains of new nodes resolve. Every index and
         embedding the service can route with — the active strategy's (and
         adaptive arms'), the construction-time overrides, and the assets'
-        memoized artifacts a later ``set_routing`` would reuse — is
-        refreshed together, so clearing the shared staleness set is sound
-        for all of them. When no such artifact exists yet (e.g. a
-        hash-only service whose smart preprocessing is still unbuilt),
-        the staleness set is deliberately *kept*: nothing was refreshed,
+        memoized artifacts that any service sharing these assets is
+        handed — is refreshed together, so clearing the shared staleness
+        set is sound for all of them. When no such artifact exists yet
+        (e.g. a hash-only service whose smart preprocessing is still
+        unbuilt), the staleness set is deliberately *kept*: nothing was refreshed,
         so nothing is fresh. Runs outside simulated time, like the
         preprocessing it incrementally patches (§4.1 starts experiments
         with preprocessing already done); the *routing* consequences of

@@ -13,7 +13,6 @@ than any absolute number.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -81,21 +80,6 @@ class StorageServiceModel:
             + self.write_per_byte * nbytes
         )
 
-    def scaled(self, speed: float) -> "StorageServiceModel":
-        """This model on hardware ``speed``× as fast (every cost ÷ speed)."""
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        if speed == 1.0:
-            return self
-        return StorageServiceModel(
-            per_request=self.per_request / speed,
-            per_key=self.per_key / speed,
-            per_byte=self.per_byte / speed,
-            write_per_request=self.write_per_request / speed,
-            write_per_key=self.write_per_key / speed,
-            write_per_byte=self.write_per_byte / speed,
-        )
-
 
 @dataclass(frozen=True)
 class ComputeModel:
@@ -104,18 +88,6 @@ class ComputeModel:
     per_node: float = 0.5e-6  # scan one adjacency record during traversal
     per_walk_step: float = 0.3e-6  # one step of a random walk
     per_dispatch: float = 0.2e-6  # router bookkeeping per routed query
-
-    def scaled(self, speed: float) -> "ComputeModel":
-        """This model on a processor ``speed``× as fast (every cost ÷ speed)."""
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        if speed == 1.0:
-            return self
-        return ComputeModel(
-            per_node=self.per_node / speed,
-            per_walk_step=self.per_walk_step / speed,
-            per_dispatch=self.per_dispatch / speed,
-        )
 
 
 @dataclass(frozen=True)
@@ -139,40 +111,6 @@ class CostModel:
     def with_network(self, network: NetworkModel) -> "CostModel":
         """Same cost model over a different interconnect."""
         return replace(self, network=network)
-
-
-@dataclass(frozen=True)
-class SpeedProfiles:
-    """Heterogeneous hardware: relative speed multipliers per node.
-
-    The paper's testbed is homogeneous, so every default is 1.0 and the
-    empty profile reproduces it bit-for-bit. A real elastic cluster mixes
-    generations of hardware: entry ``i`` scales processor/server ``i``'s
-    cost model by ``1/speed`` (2.0 = twice as fast). Nodes beyond a
-    tuple's length — including any processor added after construction —
-    default to 1.0, so profiles never constrain how far a cluster grows.
-    Adaptive routing and replica selection are *not* told these numbers;
-    they must learn around slow nodes from observed latencies and queue
-    depths, which the chaos benchmark exercises.
-    """
-
-    processors: Tuple[float, ...] = ()
-    storage: Tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        for speed in self.processors + self.storage:
-            if speed <= 0:
-                raise ValueError("speed multipliers must be positive")
-
-    def processor_speed(self, processor_id: int) -> float:
-        if 0 <= processor_id < len(self.processors):
-            return self.processors[processor_id]
-        return 1.0
-
-    def storage_speed(self, server_id: int) -> float:
-        if 0 <= server_id < len(self.storage):
-            return self.storage[server_id]
-        return 1.0
 
 
 #: Default deployment: Infiniband + RAMCloud-like storage (paper's gRouting).

@@ -73,6 +73,15 @@ class TestAllSchemesRun:
         with pytest.raises(ValueError):
             _run(setup, "hash", num_processors=0)
 
+    def test_negative_cache_capacity_rejected(self, setup):
+        # A negative capacity used to switch caches off silently under a
+        # caching scheme's label; zero stays valid (the Fig 9 sweeps use it).
+        with pytest.raises(ValueError, match="cache_capacity_bytes"):
+            _run(setup, "hash", cache_capacity_bytes=-1)
+        report = _run(setup, "hash", cache_capacity_bytes=0)
+        assert len(report.records) == len(setup[2])
+        assert report.total_cache_hits() == 0
+
 
 class TestReportInvariants:
     def test_response_le_sojourn_plus_decision(self, setup):

@@ -18,27 +18,11 @@ class TestQueryIdAllocator:
         b = {odds.allocate() for _ in range(100)}
         assert not a & b
 
-    def test_reset_replays_identically(self):
-        allocator = QueryIdAllocator(start=7, stride=3)
-        first = [allocator.allocate() for _ in range(5)]
-        allocator.reset(start=7)
-        assert [allocator.allocate() for _ in range(5)] == first
-
-    def test_reset_defaults_to_own_start(self):
-        # A strided allocator must rewind onto its *own* lattice, not 0 —
-        # otherwise a replay would collide with its partner lattice.
-        odds = QueryIdAllocator(start=1, stride=2)
-        [odds.allocate() for _ in range(4)]
-        odds.reset()
-        assert [odds.allocate() for _ in range(3)] == [1, 3, 5]
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             QueryIdAllocator(stride=0)
         with pytest.raises(ValueError):
             QueryIdAllocator(start=-1)
-        with pytest.raises(ValueError):
-            QueryIdAllocator().reset(-5)
 
 
 class TestScopedAllocation:

@@ -199,10 +199,6 @@ class TestEdgeCases:
             with pytest.raises(ValueError, match="submit_batch"):
                 _cluster(graph, assets, routing="hash", processors=2,
                          submit_batch=bad)
-        cluster = _cluster(graph, assets, routing="hash", processors=2)
-        with pytest.raises(ValueError, match="submit_batch"):
-            cluster.set_routing(submit_batch=0)
-        assert cluster.config.submit_batch is None
 
 
 class TestLifecycleGuards:
@@ -242,26 +238,6 @@ class TestLifecycleGuards:
         assert len(router.records) == len(nodes)
         assert all(r.processor == 1 for r in router.records)
         assert all(r.intended_processor == 0 for r in router.records)
-
-    def test_set_strategy_after_shutdown_raises(self, graph, assets):
-        cluster = _cluster(graph, assets)
-        cluster.router.shutdown()
-        with pytest.raises(RuntimeError):
-            cluster.router.set_strategy(cluster.strategy)
-
-    def test_set_strategy_swaps_decisions(self, graph, assets):
-        from repro.core import NextReadyRouting
-
-        cluster = _cluster(graph, assets, routing="hash", processors=2)
-        router = cluster.router
-        router.submit(_queries([0, 2]))
-        router.set_strategy(NextReadyRouting())
-        router.submit(_queries([4, 6]))
-        cluster.env.run(until=router.done)
-        labels = {r.query_id: r.routed_via for r in router.records}
-        assert sorted(labels.values()) == [
-            "hash", "hash", "next_ready", "next_ready",
-        ]
 
 
 class TestRoutingFeedback:

@@ -231,52 +231,6 @@ class TestWindowedReports:
             report.window(2.0, 1.0)
 
 
-class TestLiveReconfiguration:
-    def test_set_routing_mid_session(self, setup):
-        graph, assets, queries = setup
-        with _service(graph, assets, routing="hash") as service:
-            with service.session() as session:
-                session.stream(queries[:30])
-                session.drain()
-                session.set_routing("embed")
-                session.stream(queries[30:60])
-                report = session.report()
-        assert len(report.records) == 60
-        labels = {r.routed_via for r in report.records}
-        assert labels == {"hash", "embed"}
-        assert report.routing == "embed"
-
-    def test_set_routing_carries_adaptive_state(self, setup):
-        graph, assets, _queries = setup
-        workload = list(zipfian_stream(graph, num_queries=300, skew=2.0, seed=7,
-                                       csr=assets.csr_both))
-        with _service(graph, assets, routing="adaptive",
-                      adaptive_epoch=8) as service:
-            with service.session() as session:
-                session.stream(workload[:250])
-                session.drain()
-                old_committed = dict(service.strategy.snapshot()["committed"])
-                assert service.strategy.mode == "committed"
-                # Retune a knob: new AdaptiveRouting instance, same wisdom.
-                strategy = session.set_routing(epsilon=0.05)
-                assert strategy is service.strategy
-                assert strategy.mode == "committed"  # no re-audition
-                assert dict(strategy.snapshot()["committed"]) == old_committed
-                session.stream(workload[250:])
-                report = session.report()
-        assert len(report.records) == 300
-
-    def test_set_routing_rejects_structural_changes(self, setup):
-        graph, assets, _queries = setup
-        with _service(graph, assets) as service:
-            with pytest.raises(ValueError, match="structural"):
-                service.set_routing("embed", num_processors=2)
-            with pytest.raises(ValueError, match="structural|no_cache"):
-                service.set_routing("no_cache")
-            with pytest.raises(ValueError, match="unknown routing"):
-                service.set_routing("telepathy")
-
-
 class TestLifecycleErrors:
     def test_submit_after_service_close_raises(self, setup):
         graph, assets, queries = setup

@@ -1,20 +1,13 @@
 """Storage failover end-to-end: retry-through-outage, repair /
 re-replication, fail-back convergence, downtime metrics, tolerated
-update writes, replica-aware reads under failure, and heterogeneous
-speed profiles."""
+update writes and replica-aware reads under failure."""
 
 import pytest
 
-from repro import (
-    ClusterConfig,
-    GraphService,
-    SpeedProfiles,
-    TopologyConfig,
-)
+from repro import ClusterConfig, GraphService, TopologyConfig
 from repro.core import ChaosEvent, NeighborAggregationQuery
 from repro.core.queries import QueryIdAllocator, query_ids_from
-from repro.costs import ComputeModel, StorageServiceModel
-from repro.graph import Graph, GraphUpdate, ring_of_cliques
+from repro.graph import GraphUpdate, ring_of_cliques
 from repro.storage import StorageServerDown, pick_read_replica
 from repro.workloads import poisson_arrivals
 
@@ -285,82 +278,3 @@ class TestReplicaReadsUnderFailure:
             tier.servers[0].pipeline.release(request)
             assert pick_read_replica((0, 1), tier.servers) == 0
             service.close(drain=False)
-
-
-class TestSpeedProfiles:
-    def test_validation_and_defaults(self):
-        with pytest.raises(ValueError, match="positive"):
-            SpeedProfiles(processors=(0.0,))
-        with pytest.raises(ValueError, match="positive"):
-            StorageServiceModel().scaled(0.0)
-        with pytest.raises(ValueError, match="positive"):
-            ComputeModel().scaled(-1.0)
-        profile = SpeedProfiles(processors=(2.0,), storage=(0.5,))
-        assert profile.processor_speed(0) == 2.0
-        assert profile.processor_speed(5) == 1.0  # beyond the tuple
-        assert profile.storage_speed(0) == 0.5
-        assert profile.storage_speed(3) == 1.0
-
-    def test_scaled_models_divide_costs(self):
-        storage = StorageServiceModel().scaled(2.0)
-        assert storage.per_key == StorageServiceModel().per_key / 2.0
-        assert storage.write_per_byte == (
-            StorageServiceModel().write_per_byte / 2.0
-        )
-        compute = ComputeModel().scaled(4.0)
-        assert compute.per_node == ComputeModel().per_node / 4.0
-        assert StorageServiceModel().scaled(1.0) is not None
-
-    def test_service_applies_profiles(self, graph):
-        profile = SpeedProfiles(processors=(1.0, 3.0), storage=(1.0, 2.0))
-        config = ClusterConfig(
-            num_processors=2, num_storage_servers=2, routing="hash",
-            cache_capacity_bytes=1 << 20, speed_profiles=profile,
-        )
-        with GraphService.open(graph, config) as service:
-            assert service.processors[0].costs.compute.per_node == (
-                ComputeModel().per_node
-            )
-            assert service.processors[1].costs.compute.per_node == (
-                ComputeModel().per_node / 3.0
-            )
-            assert service.tier.servers[1].service.per_key == (
-                config.costs.storage.per_key / 2.0
-            )
-
-    def test_fast_processor_absorbs_more_next_ready_traffic(self, graph):
-        def executed(profile):
-            config = ClusterConfig(
-                num_processors=2, num_storage_servers=2,
-                routing="next_ready", cache_capacity_bytes=1 << 20,
-                speed_profiles=profile,
-            )
-            with GraphService.open(graph, config) as service:
-                with service.session() as session:
-                    session.submit_many(_queries(
-                        [n for n in range(200) if graph.has_node(n)],
-                        hops=3,
-                    ))
-                    session.drain()
-                return [p.queries_executed for p in service.processors]
-
-        fair = executed(None)
-        skewed = executed(SpeedProfiles(processors=(1.0, 8.0)))
-        # Homogeneous hardware splits roughly evenly; an 8x-faster
-        # second processor acks faster and wins more dispatches.
-        assert abs(fair[0] - fair[1]) < abs(skewed[0] - skewed[1])
-        assert skewed[1] > skewed[0]
-
-    def test_joiner_inherits_its_profile_speed(self, graph):
-        profile = SpeedProfiles(processors=(1.0, 1.0, 1.0, 5.0))
-        config = _config(speed_profiles=profile)
-        with GraphService.open(graph, config) as service:
-            pid = service.topology.add_processor()
-            assert pid == 3
-            assert service.processors[3].costs.compute.per_node == (
-                ComputeModel().per_node / 5.0
-            )
-            explicit = service.topology.add_processor(speed=2.0)
-            assert service.processors[explicit].costs.compute.per_node == (
-                ComputeModel().per_node / 2.0
-            )

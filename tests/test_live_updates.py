@@ -418,7 +418,7 @@ class TestStalenessAndRefresh:
             assert service.updates.refreshes == 1
             assert not service.updates.stale
 
-    def test_adaptive_arms_share_staleness_and_refresh(self):
+    def test_adaptive_arm_strategies_share_staleness_and_refresh(self):
         graph = ring_graph(24)
         with GraphService.open(graph, _config("adaptive")) as service:
             arms = service.strategy.arms
@@ -437,18 +437,25 @@ class TestStalenessAndRefresh:
 
     def test_refresh_covers_memoized_assets_after_routing_swap(self):
         # Code-review regression: a memoized embedding must be refreshed
-        # (and staleness only then cleared) even while the active strategy
-        # is hash — set_routing("embed") later reuses that exact object.
-        graph = ring_graph(24)
-        with GraphService.open(graph, _config("embed")) as service:
+        # (and staleness only then cleared) even by a hash service — the
+        # memo lives on the shared assets, and any embed service opened on
+        # them later is handed that exact object.
+        assets = GraphAssets(ring_graph(24))
+        with GraphService.open(
+            assets.graph, _config("embed"), assets=assets
+        ) as service:
             embedding = service.strategy.embedding
-            service.set_routing("hash")
+        with GraphService.open(
+            assets.graph, _config("hash"), assets=assets
+        ) as service:
             service.apply_updates([GraphUpdate.add_edge(100, 0)])
             assert service.refresh_routing() == 2
             assert not service.updates.stale
             assert embedding.coordinates_of(100) is not None
-            swapped = service.set_routing("embed")
-            assert swapped.embedding is embedding
+        with GraphService.open(
+            assets.graph, _config("embed"), assets=assets
+        ) as service:
+            assert service.strategy.embedding is embedding
 
     def test_refresh_keeps_staleness_when_nothing_refreshable(self):
         # Hash-only service, no smart preprocessing built: refresh cannot

@@ -20,8 +20,8 @@ ChaosEvent ClusterConfig CostModel DEFAULT_COSTS ETHERNET ETHERNET_COSTS
 GraphAssets GraphService GraphUpdate INFINIBAND KSourceReachabilityQuery
 NeighborAggregationQuery NeighborhoodSampleQuery NetworkModel
 PersonalizedPageRankQuery QueryIdAllocator QueryOperator QuerySession
-RandomWalkQuery ReachabilityQuery SpeedProfiles TopologyConfig
-UpdateReport WorkloadReport __version__ query_ids_from run_workload
+RandomWalkQuery ReachabilityQuery TopologyConfig UpdateReport
+WorkloadReport __version__ query_ids_from run_workload
 """
 
 CORE = """
@@ -49,8 +49,8 @@ shifting_hotspot_stream uniform_stream zipfian_stream
 CONFIG_FIELDS = """
 num_processors num_storage_servers routing cache_capacity_bytes
 cache_policy costs load_factor alpha dim num_landmarks min_separation
-embed_method steal seed adaptive_arms epsilon adaptive_epoch
-submit_batch update_refresh_interval placement topology speed_profiles
+embed_method steal seed adaptive_epoch submit_batch
+update_refresh_interval placement topology
 """
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     ClusterConfig,
     GraphAssets,
-    GraphService,
     NeighborAggregationQuery,
     RandomWalkQuery,
     ReachabilityQuery,
@@ -349,22 +348,3 @@ class TestClusterIntegration:
         assert all(r.query_class == "traversal" for r in report.records)
         counts = report.per_arm_counts()
         assert sum(counts.values()) == 120
-
-    def test_invalid_adaptive_arm_rejected(self, graph, assets):
-        config = ClusterConfig(routing="adaptive",
-                               adaptive_arms=("hash", "adaptive"))
-        with pytest.raises(ValueError):
-            GraphService(graph, config, assets=assets)
-
-    def test_no_cache_arm_rejected(self, graph, assets):
-        # "no_cache" is a cluster mode, not a routing decision: as an arm it
-        # would run cached next-ready dispatch under a misleading label.
-        config = ClusterConfig(routing="adaptive",
-                               adaptive_arms=("no_cache", "embed"))
-        with pytest.raises(ValueError):
-            GraphService(graph, config, assets=assets)
-
-    def test_empty_adaptive_arms_rejected(self, graph, assets):
-        config = ClusterConfig(routing="adaptive", adaptive_arms=())
-        with pytest.raises(ValueError):
-            GraphService(graph, config, assets=assets)

@@ -52,13 +52,6 @@ class TestConfig:
         for action in CHAOS_ACTIONS:
             ChaosEvent(at=0.0, action=action, target=0)
 
-    def test_topology_is_structural(self, graph):
-        with GraphService.open(graph, _config()) as service:
-            with pytest.raises(ValueError, match="structural"):
-                service.set_routing(topology=None)
-            with pytest.raises(ValueError, match="structural"):
-                service.set_routing(speed_profiles=None)
-
     def test_no_topology_by_default(self, graph):
         with GraphService.open(graph, ClusterConfig(
             num_processors=2, num_storage_servers=2, routing="hash",
@@ -197,23 +190,20 @@ class TestMembership:
             assert service.topology.epoch == 2
 
     def test_adaptive_arm_state_survives_membership_change(self, graph):
-        config = _config(
-            routing="adaptive", adaptive_arms=("hash", "embed"),
-            adaptive_epoch=8,
-        )
+        config = _config(routing="adaptive", adaptive_epoch=8)
         with GraphService.open(graph, config) as service:
             with service.session() as session:
                 session.submit_many(_queries(range(30)))
                 session.drain()
                 strategy = service.strategy
-                state_before = strategy.export_state()
+                state_before = strategy.snapshot()
+                assert state_before["pulls"]  # something was learned
                 service.topology.add_processor()
                 # Learned per-(class, arm) state is keyed by arm name and
                 # survives the rebalance untouched.
-                state_after = strategy.export_state()
-                assert state_after["score_ewma"] == state_before["score_ewma"]
-                assert state_after["pulls"] == state_before["pulls"]
-                assert state_after["committed"] == state_before["committed"]
+                state_after = strategy.snapshot()
+                for key in ("pulls", "committed", "miss_ratio_ewma"):
+                    assert state_after[key] == state_before[key]
                 session.submit_many(_queries(
                     n for n in range(30, 60) if graph.has_node(n)
                 ))
