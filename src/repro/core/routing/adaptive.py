@@ -28,8 +28,9 @@ because cache organisation is collective.
 
 The feedback signals keep the commitment honest:
 
-* **per-query-class latency EWMAs** — drift detection: a committed arm
-  whose fast EWMA rises well above its slow baseline triggers re-audition;
+* **latency** — used only for drift detection: per class, a fast and a
+  slow EWMA of the committed arm's response time; a fast EWMA rising well
+  above its slow baseline triggers re-audition;
 * **cache hit rates** — a per-class collapse from the committed-phase peak
   means the workload moved (e.g. a hotspot shifted): fresh audition;
 * **queue depths** — sustained imbalance boosts the epsilon-greedy probe
@@ -43,7 +44,7 @@ caches warm and the next audition starts informed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -58,6 +59,110 @@ DEFAULT_PRIORS: Mapping[str, str] = {
     "traversal": "embed",
 }
 
+# Tuning values. The service sets none of them; tests patch them.
+AUDITION_ROUNDS = 2  # palindromic rounds of the initial audition
+EPSILON = 0.1  # probe rate: initial, per-decision decay, floor
+EPSILON_DECAY = 0.05
+EPSILON_MIN = 0.02
+SWITCH_MARGIN = 0.1  # relative win needed to leave the anchor/previous arm
+DRIFT_THRESHOLD = 1.5  # fast latency EWMA over slow, as a fraction ...
+DRIFT_PATIENCE = 16  # ... for this many consecutive acks
+HIT_RATE_DROP = 0.25  # per-class hit-ratio fall from its committed peak
+MIN_DRIFT_SAMPLES = 48  # samples before either drift signal may fire
+FEEDBACK_ALPHA = 0.2  # EWMA smoothing (slow EWMAs use an eighth)
+
+
+def _ewma(previous: Optional[float], sample: float, rate: float) -> float:
+    """One EWMA step; the first sample seeds the average."""
+    if previous is None:
+        return sample
+    return previous + rate * (sample - previous)
+
+
+class _ArmStats:
+    """What one arm has measured for one query class."""
+
+    __slots__ = ("score", "repeat", "pulls", "assigned", "audition_sum",
+                 "audition_cnt", "audition_repeat_sum", "audition_repeat_cnt")
+
+    def __init__(self) -> None:
+        # Miss-ratio EWMA, the arm-ranking score. Raw latency is far too
+        # noisy to rank arms — a traversal's response varies by orders of
+        # magnitude with its result-set size — while the per-query miss
+        # ratio is size-normalised and is precisely the thing a routing
+        # choice controls. None until the first measurement.
+        self.score: Optional[float] = None
+        # Repeat-miss score: the miss ratio over *repeat* queries only.
+        # Deterministic placement (hash) turns repeats into hits; arms
+        # whose choice drifts with load or EMAs scatter them. For
+        # repeat-dominated classes this is the ranking signal.
+        self.repeat: Optional[float] = None
+        self.pulls = 0  # completed (acknowledged) queries
+        self.assigned = 0  # includes in-flight ones; drives stale-arm probes
+        self.reset_audition()
+
+    def reset_audition(self) -> None:
+        # Audition accumulators: plain sums/counts of the miss-ratio score.
+        # The palindromic epoch order makes their *means* warmth-fair, so
+        # the commit decision seeds the score EWMAs from them (a
+        # recency-weighted EWMA would flatter whichever arm happened to run
+        # last).
+        self.audition_sum = 0.0
+        self.audition_cnt = 0.0
+        self.audition_repeat_sum = 0.0
+        self.audition_repeat_cnt = 0.0
+
+
+class _ClassState:
+    """Everything the strategy tracks about one query class."""
+
+    __slots__ = ("arms", "nodes", "queries", "repeats", "decisions",
+                 "last_greedy", "previous_commit", "drift", "hit")
+
+    def __init__(self, arm_names: Sequence[str]) -> None:
+        # Built in arm order: min() over these stats breaks ties by it.
+        self.arms = {arm: _ArmStats() for arm in arm_names}
+        # Repeat tracking: the fraction of queries whose node was queried
+        # before. Unlike cache measurements it is a pure workload property
+        # — immune to which arm currently organises the caches — and high
+        # repeat rates are exactly where deterministic placement (hash
+        # routing's repeat locality, §3.3.2) pays.
+        self.nodes: Set[int] = set()
+        self.queries = 0
+        self.repeats = 0
+        # Committed-phase bookkeeping.
+        self.decisions = 0
+        self.last_greedy: Optional[str] = None
+        self.previous_commit: Optional[str] = None
+        # Drift detection: [fast EWMA, slow EWMA, samples, consecutive
+        # exceedances] of the committed arm's latency.
+        self.drift: Optional[List[float]] = None
+        # Cache warmth: [hit-ratio EWMA, peak, samples]. Tracked per class:
+        # the pooled ratio swings with the workload *composition* (a
+        # hotspot streak vs a stretch of uniform point lookups), which
+        # would read as phantom drift.
+        self.hit: Optional[List[float]] = None
+
+    def scores(self) -> Dict[str, float]:
+        """Miss-ratio EWMAs of the measured arms, in arm order."""
+        return {
+            arm: stats.score
+            for arm, stats in self.arms.items()
+            if stats.score is not None
+        }
+
+    def repeat_ratio(self) -> float:
+        """Fraction of this class's queries re-visiting an earlier node."""
+        return self.repeats / self.queries if self.queries else 0.0
+
+    def track_repeat(self, node: int) -> bool:
+        self.queries += 1
+        if node in self.nodes:
+            self.repeats += 1
+            return True
+        self.nodes.add(node)
+        return False
+
 
 class AdaptiveRouting(RoutingStrategy):
     """Audition-then-commit arm selection with per-class epsilon probes."""
@@ -67,132 +172,36 @@ class AdaptiveRouting(RoutingStrategy):
     def __init__(
         self,
         arms: Mapping[str, RoutingStrategy],
-        priors: Optional[Mapping[str, str]] = None,
         epoch: int = 32,
-        audition_rounds: int = 2,
-        audition_delay: int = 0,
-        epsilon: float = 0.1,
-        epsilon_decay: float = 0.05,
-        epsilon_min: float = 0.02,
-        switch_margin: float = 0.1,
-        drift_threshold: float = 1.5,
-        drift_patience: int = 16,
-        hit_rate_drop: float = 0.25,
-        min_drift_samples: int = 48,
-        feedback_alpha: float = 0.2,
         seed: int = 0,
     ) -> None:
         if not arms:
             raise ValueError("adaptive routing needs at least one arm")
         if epoch < 1:
             raise ValueError("epoch must be >= 1")
-        if audition_rounds < 0:
-            raise ValueError("audition_rounds must be >= 0")
-        if audition_delay < 0:
-            raise ValueError("audition_delay must be >= 0")
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        if epsilon_decay < 0:
-            raise ValueError("epsilon_decay must be >= 0")
-        if not 0.0 <= epsilon_min <= 1.0:
-            raise ValueError("epsilon_min must be in [0, 1]")
-        if not 0.0 <= switch_margin < 1.0:
-            raise ValueError("switch_margin must be in [0, 1)")
-        if drift_threshold <= 0:
-            raise ValueError("drift_threshold must be positive")
-        if drift_patience < 1:
-            raise ValueError("drift_patience must be >= 1")
-        if not 0.0 < feedback_alpha <= 1.0:
-            raise ValueError("feedback_alpha must be in (0, 1]")
         self.arms: Dict[str, RoutingStrategy] = dict(arms)
         self._arm_names = tuple(self.arms)
-        self.priors = dict(DEFAULT_PRIORS if priors is None else priors)
         self.epoch = epoch
-        self.audition_rounds = audition_rounds
-        self.audition_delay = audition_delay
-        self.epsilon = epsilon
-        self.epsilon_decay = epsilon_decay
-        self.epsilon_min = epsilon_min
-        self.switch_margin = switch_margin
-        self.drift_threshold = drift_threshold
-        self.drift_patience = drift_patience
-        self.hit_rate_drop = hit_rate_drop
-        self.min_drift_samples = min_drift_samples
-        self.feedback_alpha = feedback_alpha
         self._rng = np.random.default_rng(seed)
         # Audition scheduling: each queued arm gets one epoch of all traffic.
         self._audition_queue: Deque[str] = deque()
         self._current_audition: Optional[str] = None
         self._epoch_pos = 0
-        self._decisions = 0
         self.auditions = 0
-        # The initial audition is deferred by ``audition_delay`` decisions:
-        # the traffic-light priors route the coldest stretch (where every
-        # arm misses everything and measurements are least informative),
-        # then the arms audition on a cluster warm enough to tell apart.
-        self._audition_scheduled = (
-            len(self._arm_names) <= 1 or audition_rounds == 0
-        )
-        if not self._audition_scheduled and audition_delay == 0:
-            self._schedule_audition(self.audition_rounds)
-            self._audition_scheduled = True
-        # Per-(class, arm) latency EWMAs (drift detection, diagnostics),
-        # miss-ratio EWMAs (the arm-ranking score), completed pulls, and
-        # assignment counts (assignments include in-flight queries; they
-        # drive the stale-arm probe choice). Raw latency is far too noisy
-        # to rank arms — a traversal's response varies by orders of
-        # magnitude with its result-set size — while the per-query miss
-        # ratio is size-normalised and is precisely the thing a routing
-        # choice controls.
-        self._latency_ewma: Dict[Tuple[str, str], float] = {}
-        self._score_ewma: Dict[Tuple[str, str], float] = {}
-        # Repeat-miss scores: the miss ratio over *repeat* queries only.
-        # Deterministic placement (hash) turns repeats into hits; arms
-        # whose choice drifts with load or EMAs scatter them. For
-        # repeat-dominated classes this is the ranking signal.
-        self._repeat_ewma: Dict[Tuple[str, str], float] = {}
-        self._pulls: Dict[Tuple[str, str], int] = {}
-        self._assigned: Dict[Tuple[str, str], int] = {}
-        # Audition accumulators: plain per-(class, arm) sums/counts of the
-        # miss-ratio score. The palindromic epoch order makes their *means*
-        # warmth-fair, so the commit decision seeds the score EWMAs from
-        # them (a recency-weighted EWMA would flatter whichever arm
-        # happened to run last).
-        self._audition_sum: Dict[Tuple[str, str], float] = {}
-        self._audition_cnt: Dict[Tuple[str, str], float] = {}
-        self._audition_repeat_sum: Dict[Tuple[str, str], float] = {}
-        self._audition_repeat_cnt: Dict[Tuple[str, str], float] = {}
+        if len(self._arm_names) > 1:
+            self._schedule_audition(AUDITION_ROUNDS)
+        self._classes: Dict[str, _ClassState] = {}
         self._commit_seeded = False
-        # Per-class repeat tracking: the fraction of queries whose node was
-        # queried before. Unlike cache measurements it is a pure workload
-        # property — immune to which arm currently organises the caches —
-        # and high repeat rates are exactly where deterministic placement
-        # (hash routing's repeat locality, §3.3.2) pays.
-        self._class_nodes: Dict[str, set] = {}
-        self._class_queries: Dict[str, int] = {}
-        self._class_repeats: Dict[str, int] = {}
-        # Committed-phase bookkeeping.
-        self._class_decisions: Dict[str, int] = {}
-        self._last_choice: Dict[str, str] = {}
-        self._last_greedy: Dict[str, str] = {}
-        self._previous_commit: Dict[str, str] = {}
         self.switches: Dict[str, int] = {}
         self.explorations = 0
-        # Drift detection: per-class [fast EWMA, slow EWMA, samples,
-        # consecutive exceedances] of the committed arm's latency.
-        self._drift: Dict[str, List[float]] = {}
-        # Cluster-state EWMAs fed by RoutingFeedback. Hit-ratio warmth is
-        # tracked per class: the pooled ratio swings with the workload
-        # *composition* (a hotspot streak vs a stretch of uniform point
-        # lookups), which would read as phantom drift.
+        # Cluster-state EWMAs fed by RoutingFeedback.
         self._hit_rate_ewma = 0.0
-        self._class_hit: Dict[str, List[float]] = {}  # cls -> [ewma, peak, n]
         self._imbalance_ewma = 1.0
         self._feedback_seen = 0
         self._committed_feedback = 0
         # In-flight bookkeeping:
-        # query id -> (class, arm name, in_audition, is_repeat).
-        self._assignments: Dict[int, Tuple[str, str, bool, bool]] = {}
+        # query id -> (class state, arm name, in_audition, is_repeat).
+        self._assignments: Dict[int, Tuple[_ClassState, str, bool, bool]] = {}
         self._last_arm: Optional[RoutingStrategy] = None
 
     # -- audition scheduling --------------------------------------------------
@@ -216,9 +225,7 @@ class AdaptiveRouting(RoutingStrategy):
         self.auditions += 1
 
     def _arm_pulls(self, arm: str) -> int:
-        return sum(
-            count for (_, a), count in self._pulls.items() if a == arm
-        )
+        return sum(state.arms[arm].pulls for state in self._classes.values())
 
     def _advance_epoch(self) -> None:
         self._epoch_pos += 1
@@ -244,27 +251,25 @@ class AdaptiveRouting(RoutingStrategy):
 
     def _seed_commit(self) -> None:
         """Seed the score EWMAs from the audition means (warmth-fair)."""
-        if self._commit_seeded:
-            return
-        for key, count in self._audition_cnt.items():
-            if count > 0:
-                self._score_ewma[key] = self._audition_sum[key] / count
-        for key, count in self._audition_repeat_cnt.items():
-            if count > 0:
-                self._repeat_ewma[key] = (
-                    self._audition_repeat_sum[key] / count
-                )
+        for state in self._classes.values():
+            for stats in state.arms.values():
+                if stats.audition_cnt > 0:
+                    stats.score = stats.audition_sum / stats.audition_cnt
+                if stats.audition_repeat_cnt > 0:
+                    stats.repeat = (
+                        stats.audition_repeat_sum / stats.audition_repeat_cnt
+                    )
+            # A fresh generation: every class re-decides from the new
+            # audition data at its next decision (sticky thereafter).
+            state.previous_commit = state.last_greedy
+            state.last_greedy = None
+            # Warmth baselines only mean something once commitment starts:
+            # the EWMAs fluctuate wildly while caches are cold, and a "drop"
+            # from a lucky early peak is not workload drift.
+            if state.hit is not None:
+                state.hit[1] = state.hit[0]
+                state.hit[2] = 0.0
         self._commit_seeded = True
-        # A fresh generation: every class re-decides from the new audition
-        # data at its next decision (sticky thereafter).
-        self._previous_commit = dict(self._last_greedy)
-        self._last_greedy.clear()
-        # Warmth baselines only mean something once commitment starts: the
-        # EWMAs fluctuate wildly while caches are cold, and a "drop" from a
-        # lucky early peak is not workload drift.
-        for entry in self._class_hit.values():
-            entry[1] = entry[0]
-            entry[2] = 0.0
         self._committed_feedback = 0
 
     def trigger_audition(self) -> None:
@@ -272,22 +277,19 @@ class AdaptiveRouting(RoutingStrategy):
         if self._current_audition is not None or self._audition_queue:
             return
         self._schedule_audition(1)
-        self._drift.clear()
-        # Fresh accumulators: the post-drift world gets measured anew.
-        self._audition_sum.clear()
-        self._audition_cnt.clear()
-        self._audition_repeat_sum.clear()
-        self._audition_repeat_cnt.clear()
+        for state in self._classes.values():
+            state.drift = None
+            # Fresh accumulators: the post-drift world gets measured anew.
+            for stats in state.arms.values():
+                stats.reset_audition()
         self._commit_seeded = False
 
     # -- choice ---------------------------------------------------------------
     def exploration_rate(self, cls: str) -> float:
         """Current probe rate for ``cls``: decayed, boosted while unsettled."""
-        decisions = self._class_decisions.get(cls, 0)
-        decayed = max(
-            self.epsilon_min,
-            self.epsilon / (1.0 + self.epsilon_decay * decisions),
-        )
+        state = self._classes.get(cls)
+        decisions = state.decisions if state is not None else 0
+        decayed = max(EPSILON_MIN, EPSILON / (1.0 + EPSILON_DECAY * decisions))
         cold_boost = 0.5 * (1.0 - self._hit_rate_ewma)
         skew_boost = 0.25 * min(1.0, max(0.0, self._imbalance_ewma - 1.0))
         return min(1.0, decayed * (1.0 + cold_boost + skew_boost))
@@ -300,24 +302,21 @@ class AdaptiveRouting(RoutingStrategy):
         defaults to the globally best arm and deviates only on clear
         evidence (see :meth:`_greedy_arm`).
         """
-        # Sorted, not set order: class names are strings, so set order
-        # varies with hash randomization across processes — and float
-        # summation order is result-visible in the arm means.
-        classes = sorted({cls for cls, _ in self._score_ewma})
+        # Sorted, not insertion order: float summation order is
+        # result-visible in the arm means, so it must not depend on which
+        # class happened to arrive first.
+        ranked = [state.scores() for _, state in sorted(self._classes.items())]
+        measured = [scores for scores in ranked if scores]
         means = {}
         for arm in self._arm_names:
-            scores = [
-                self._score_ewma[(cls, arm)]
-                for cls in classes
-                if (cls, arm) in self._score_ewma
-            ]
-            if len(scores) == len(classes) and scores:
-                means[arm] = sum(scores) / len(scores)
+            values = [scores[arm] for scores in measured if arm in scores]
+            if len(values) == len(measured) and values:
+                means[arm] = sum(values) / len(values)
         if not means:
             return None
         return min(means, key=means.__getitem__)
 
-    def _class_scores(self, cls: str) -> Dict[str, float]:
+    def _class_scores(self, state: _ClassState) -> Dict[str, float]:
         """Per-arm ranking scores for one class.
 
         Repeat-dominated classes rank by the *repeat* miss ratio: the whole
@@ -325,32 +324,27 @@ class AdaptiveRouting(RoutingStrategy):
         finds its record cached, and the overall ratio (diluted by
         first-visit compulsory misses) hides exactly that.
         """
-        scores = self._score_ewma
-        if self.repeat_ratio(cls) > 0.5:
+        if state.repeat_ratio() > 0.5:
             repeat = {
-                arm: self._repeat_ewma[(cls, arm)]
-                for arm in self._arm_names
-                if (cls, arm) in self._repeat_ewma
+                arm: stats.repeat
+                for arm, stats in state.arms.items()
+                if stats.repeat is not None
             }
             if len(repeat) == len(self._arm_names):
                 return repeat
-        return {
-            arm: scores[(cls, arm)]
-            for arm in self._arm_names
-            if (cls, arm) in scores
-        }
+        return state.scores()
 
-    def _greedy_arm(self, cls: str) -> str:
+    def _greedy_arm(self, cls: str, state: _ClassState) -> str:
         # Sticky commit: the choice is made once per audition generation,
         # from the palindromic audition means. In-mixture probe updates are
         # too contaminated to overturn it query-by-query (a probe measures
         # an arm under *another* arm's cache organisation); corrections go
         # through drift detection → re-audition instead.
-        committed = self._last_greedy.get(cls)
+        committed = state.last_greedy
         if committed is not None:
             return committed
-        tried = self._class_scores(cls)
-        prior = self.priors.get(cls)
+        tried = self._class_scores(state)
+        prior = DEFAULT_PRIORS.get(cls)
         if not tried:
             # The traffic-light tier: trust the prior until there is data.
             return prior if prior in self.arms else self._arm_names[0]
@@ -363,22 +357,22 @@ class AdaptiveRouting(RoutingStrategy):
         anchor = self._global_best_arm()
         if anchor is not None and anchor in tried and best != anchor:
             gap = tried[anchor] - tried[best]
-            if gap < max(self.switch_margin * tried[anchor], 0.05):
+            if gap < max(SWITCH_MARGIN * tried[anchor], 0.05):
                 best = anchor
-        previous = self._previous_commit.get(cls)
+        previous = state.previous_commit
         if previous is not None and previous in tried and best != previous:
             gap = tried[previous] - tried[best]
             # Hysteresis across generations: don't churn the cache
             # organisation for a win within the noise margin.
-            if gap < max(self.switch_margin * tried[previous], 0.05):
+            if gap < max(SWITCH_MARGIN * tried[previous], 0.05):
                 best = previous
         if previous is not None and previous != best:
             self.switches[cls] = self.switches.get(cls, 0) + 1
-            self._drift.pop(cls, None)  # new arm, fresh drift baseline
-        self._last_greedy[cls] = best
+            state.drift = None  # new arm, fresh drift baseline
+        state.last_greedy = best
         return best
 
-    def _probe_arm(self, cls: str) -> str:
+    def _probe_arm(self, state: _ClassState) -> str:
         """Epsilon-probe target: alternate runner-up and stalest arm.
 
         Probing the runner-up (second-lowest EWMA) is nearly free — it is
@@ -386,27 +380,15 @@ class AdaptiveRouting(RoutingStrategy):
         the commitment is wrong; probing the stalest arm keeps every
         estimate fresh as caches warm and the workload drifts.
         """
-        committed = self._last_greedy.get(cls)
         tried = {
-            arm: self._score_ewma[(cls, arm)]
-            for arm in self._arm_names
-            if (cls, arm) in self._score_ewma and arm != committed
+            arm: score for arm, score in state.scores().items()
+            if arm != state.last_greedy
         }
         if tried and self.explorations % 4 != 0:
             return min(tried, key=tried.__getitem__)
-        return min(
-            self._arm_names,
-            key=lambda arm: self._assigned.get((cls, arm), 0),
-        )
+        return min(self._arm_names, key=lambda arm: state.arms[arm].assigned)
 
-    def _pick_arm(self, cls: str) -> Tuple[str, bool]:
-        self._decisions += 1
-        if (
-            not self._audition_scheduled
-            and self._decisions > self.audition_delay
-        ):
-            self._schedule_audition(self.audition_rounds)
-            self._audition_scheduled = True
+    def _pick_arm(self, cls: str, state: _ClassState) -> Tuple[str, bool]:
         if self._current_audition is None and self._audition_queue:
             # First decision of a scheduled audition round.
             self._current_audition = self._audition_queue.popleft()
@@ -418,28 +400,13 @@ class AdaptiveRouting(RoutingStrategy):
             float(self._rng.random()) < self.exploration_rate(cls)
         ):
             self.explorations += 1
-            pick = self._probe_arm(cls)
+            pick = self._probe_arm(state)
         else:
-            pick = self._greedy_arm(cls)
-        self._last_choice[cls] = pick
-        self._class_decisions[cls] = self._class_decisions.get(cls, 0) + 1
-        self._assigned[(cls, pick)] = self._assigned.get((cls, pick), 0) + 1
+            pick = self._greedy_arm(cls, state)
+        state.decisions += 1
+        state.arms[pick].assigned += 1
         self._advance_epoch()
         return pick, in_audition
-
-    def repeat_ratio(self, cls: str) -> float:
-        """Fraction of this class's queries re-visiting an earlier node."""
-        total = self._class_queries.get(cls, 0)
-        return self._class_repeats.get(cls, 0) / total if total else 0.0
-
-    def _track_repeats(self, cls: str, node: int) -> bool:
-        seen = self._class_nodes.setdefault(cls, set())
-        self._class_queries[cls] = self._class_queries.get(cls, 0) + 1
-        if node in seen:
-            self._class_repeats[cls] = self._class_repeats.get(cls, 0) + 1
-            return True
-        seen.add(node)
-        return False
 
     def choose(self, query: Query, loads: Sequence[int]) -> Optional[int]:
         # Both the class and the repeat signal resolve through the operator
@@ -447,10 +414,13 @@ class AdaptiveRouting(RoutingStrategy):
         # tracked on the primary anchor (multi-anchor queries re-visiting
         # their lead anchor are repeats for placement purposes too).
         cls = query_class(query)
-        is_repeat = self._track_repeats(cls, routing_keys(query)[0])
-        arm_name, in_audition = self._pick_arm(cls)
+        state = self._classes.get(cls)
+        if state is None:
+            state = self._classes[cls] = _ClassState(self._arm_names)
+        is_repeat = state.track_repeat(routing_keys(query)[0])
+        arm_name, in_audition = self._pick_arm(cls, state)
         self._assignments[query.query_id] = (
-            cls, arm_name, in_audition, is_repeat,
+            state, arm_name, in_audition, is_repeat,
         )
         arm = self.arms[arm_name]
         self._last_arm = arm
@@ -461,9 +431,9 @@ class AdaptiveRouting(RoutingStrategy):
     ) -> int:
         """Forward the topology change to every arm; learned state survives.
 
-        The per-(class, arm) score/latency EWMAs, pull counts, commitment
-        and audition schedule are all keyed by arm *name*, not processor
-        id, so none of it resets — the bandit keeps its ranking while each
+        The per-(class, arm) score EWMAs, pull counts, commitment and
+        audition schedule are all keyed by arm *name*, not processor id,
+        so none of it resets — the bandit keeps its ranking while each
         arm rebalances its own table. Returns the total entries moved
         across arms.
         """
@@ -481,9 +451,9 @@ class AdaptiveRouting(RoutingStrategy):
             arm.on_dispatch(query, processor)
 
     def _update_cluster_signals(
-        self, feedback: RoutingFeedback, cls: Optional[str]
+        self, feedback: RoutingFeedback, state: Optional[_ClassState]
     ) -> None:
-        alpha = self.feedback_alpha
+        alpha = FEEDBACK_ALPHA
         self._feedback_seen += 1
         # Cache warmth: slow EWMAs of the per-query hit ratio — one global
         # (modulates exploration), one per class (drift detection; the
@@ -498,10 +468,10 @@ class AdaptiveRouting(RoutingStrategy):
                 self._hit_rate_ewma += (alpha / 8.0) * (
                     hit_ratio - self._hit_rate_ewma
                 )
-            if cls is not None:
-                entry = self._class_hit.get(cls)
+            if state is not None:
+                entry = state.hit
                 if entry is None:
-                    self._class_hit[cls] = [hit_ratio, hit_ratio, 1.0]
+                    state.hit = [hit_ratio, hit_ratio, 1.0]
                 else:
                     entry[0] += (alpha / 8.0) * (hit_ratio - entry[0])
                     entry[1] = max(entry[1], entry[0])
@@ -512,25 +482,25 @@ class AdaptiveRouting(RoutingStrategy):
             imbalance = max(loads) / mean_load if mean_load > 0 else 1.0
             self._imbalance_ewma += alpha * (imbalance - self._imbalance_ewma)
 
-    def _update_drift(self, cls: str, arm: str, latency: float) -> None:
+    def _update_drift(self, state: _ClassState, arm: str, latency: float) -> None:
         """Track the committed arm's fast vs slow latency EWMAs per class."""
-        if self.mode != "committed" or self._last_greedy.get(cls) != arm:
+        if self.mode != "committed" or state.last_greedy != arm:
             return
-        fast_alpha = self.feedback_alpha
-        slow_alpha = self.feedback_alpha / 8.0
-        entry = self._drift.get(cls)
+        fast_alpha = FEEDBACK_ALPHA
+        slow_alpha = FEEDBACK_ALPHA / 8.0
+        entry = state.drift
         if entry is None:
-            self._drift[cls] = [latency, latency, 1.0, 0.0]
+            state.drift = [latency, latency, 1.0, 0.0]
             return
         entry[0] += fast_alpha * (latency - entry[0])
         entry[1] += slow_alpha * (latency - entry[1])
         entry[2] += 1.0
-        exceeded = entry[0] > entry[1] * (1.0 + self.drift_threshold)
+        exceeded = entry[0] > entry[1] * (1.0 + DRIFT_THRESHOLD)
         # Individual queries are wildly variable (result-set sizes differ by
         # orders of magnitude), so a single exceedance means nothing; only a
         # sustained streak marks genuine drift.
         entry[3] = entry[3] + 1.0 if exceeded else 0.0
-        if entry[2] >= self.min_drift_samples and entry[3] >= self.drift_patience:
+        if entry[2] >= MIN_DRIFT_SAMPLES and entry[3] >= DRIFT_PATIENCE:
             self.trigger_audition()
 
     def on_feedback(self, feedback: RoutingFeedback) -> None:
@@ -540,10 +510,11 @@ class AdaptiveRouting(RoutingStrategy):
             self._update_scores(feedback, *info)
         if self.mode == "committed":
             self._committed_feedback += 1
-            if self._committed_feedback >= self.min_drift_samples and any(
-                entry[2] >= self.min_drift_samples
-                and entry[1] - entry[0] > self.hit_rate_drop
-                for entry in self._class_hit.values()
+            if self._committed_feedback >= MIN_DRIFT_SAMPLES and any(
+                state.hit is not None
+                and state.hit[2] >= MIN_DRIFT_SAMPLES
+                and state.hit[1] - state.hit[0] > HIT_RATE_DROP
+                for state in self._classes.values()
             ):
                 # A query class lost its cache warmth: the workload moved.
                 self.trigger_audition()
@@ -553,12 +524,12 @@ class AdaptiveRouting(RoutingStrategy):
     def _update_scores(
         self,
         feedback: RoutingFeedback,
-        cls: str,
+        state: _ClassState,
         arm: str,
         in_audition: bool,
         is_repeat: bool,
     ) -> None:
-        key = (cls, arm)
+        stats = state.arms[arm]
         touched = feedback.cache_hits + feedback.cache_misses
         score = feedback.cache_misses / touched if touched else None
         if score is not None:
@@ -569,44 +540,17 @@ class AdaptiveRouting(RoutingStrategy):
                 # Audition scores accumulate into plain (weighted) means;
                 # the EWMAs are seeded from them when the audition
                 # concludes.
-                self._audition_sum[key] = (
-                    self._audition_sum.get(key, 0.0) + score * weight
-                )
-                self._audition_cnt[key] = (
-                    self._audition_cnt.get(key, 0.0) + weight
-                )
+                stats.audition_sum += score * weight
+                stats.audition_cnt += weight
                 if is_repeat:
-                    self._audition_repeat_sum[key] = (
-                        self._audition_repeat_sum.get(key, 0.0) + score
-                    )
-                    self._audition_repeat_cnt[key] = (
-                        self._audition_repeat_cnt.get(key, 0.0) + 1.0
-                    )
+                    stats.audition_repeat_sum += score
+                    stats.audition_repeat_cnt += 1.0
             else:
-                previous = self._score_ewma.get(key)
-                if previous is None:
-                    self._score_ewma[key] = score
-                else:
-                    self._score_ewma[key] = previous + (
-                        self.feedback_alpha * weight * (score - previous)
-                    )
+                stats.score = _ewma(stats.score, score, FEEDBACK_ALPHA * weight)
                 if is_repeat:
-                    previous = self._repeat_ewma.get(key)
-                    if previous is None:
-                        self._repeat_ewma[key] = score
-                    else:
-                        self._repeat_ewma[key] = previous + (
-                            self.feedback_alpha * (score - previous)
-                        )
-        previous = self._latency_ewma.get(key)
-        if previous is None:
-            self._latency_ewma[key] = feedback.response_time
-        else:
-            self._latency_ewma[key] = previous + self.feedback_alpha * (
-                feedback.response_time - previous
-            )
-        self._pulls[key] = self._pulls.get(key, 0) + 1
-        self._update_drift(cls, arm, feedback.response_time)
+                    stats.repeat = _ewma(stats.repeat, score, FEEDBACK_ALPHA)
+        stats.pulls += 1
+        self._update_drift(state, arm, feedback.response_time)
 
     # -- accounting -----------------------------------------------------------
     def decision_label(self, query: Query) -> str:
@@ -627,32 +571,24 @@ class AdaptiveRouting(RoutingStrategy):
     # -- diagnostics ----------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Diagnostic view of the learned state (for reports and tests)."""
+        ranked = sorted(self._classes.items())
         return {
             "mode": self.mode,
             "auditions": self.auditions,
-            "committed": dict(self._last_greedy),
-            "hit_rate_ewma": self._hit_rate_ewma,
-            "imbalance_ewma": self._imbalance_ewma,
-            "explorations": self.explorations,
-            "switches": dict(self.switches),
-            "latency_ewma_us": {
-                f"{cls}/{arm}": value * 1e6
-                for (cls, arm), value in sorted(self._latency_ewma.items())
+            "committed": {
+                cls: state.last_greedy
+                for cls, state in self._classes.items()
+                if state.last_greedy is not None
             },
             "miss_ratio_ewma": {
-                f"{cls}/{arm}": round(value, 4)
-                for (cls, arm), value in sorted(self._score_ewma.items())
-            },
-            "repeat_miss_ewma": {
-                f"{cls}/{arm}": round(value, 4)
-                for (cls, arm), value in sorted(self._repeat_ewma.items())
-            },
-            "repeat_ratio": {
-                cls: round(self.repeat_ratio(cls), 3)
-                for cls in sorted(self._class_queries)
+                f"{cls}/{arm}": round(score, 4)
+                for cls, state in ranked
+                for arm, score in sorted(state.scores().items())
             },
             "pulls": {
-                f"{cls}/{arm}": count
-                for (cls, arm), count in sorted(self._pulls.items())
+                f"{cls}/{arm}": stats.pulls
+                for cls, state in ranked
+                for arm, stats in sorted(state.arms.items())
+                if stats.pulls
             },
         }

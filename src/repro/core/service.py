@@ -108,7 +108,7 @@ class ClusterConfig:
     submit_batch: Optional[int] = None
     # -- live graph-update knobs ----------------------------------------------
     #: Automatically run the incremental routing refresh after this many
-    #: applied updates (None = manual: staleness accumulates until
+    #: applied updates, >= 1 (None = manual: staleness accumulates until
     #: ``refresh_routing()`` is called). See :mod:`repro.core.updates`.
     update_refresh_interval: Optional[int] = None
     # -- dynamic-placement knobs -----------------------------------------------
@@ -164,6 +164,9 @@ class GraphService:
         batch = self.config.submit_batch
         if batch is not None and batch < 1:
             raise ValueError("submit_batch must be >= 1")
+        refresh = self.config.update_refresh_interval
+        if refresh is not None and refresh < 1:
+            raise ValueError("update_refresh_interval must be >= 1 (or None)")
         self.assets = assets if assets is not None else GraphAssets(graph)
         # Shared staleness set: nodes whose routing info predates a graph
         # update. Created before the strategies so they can hold it by

@@ -51,16 +51,6 @@ def classical_mds(pair_matrix: np.ndarray, dim: int) -> np.ndarray:
     return coords
 
 
-def _pairwise_relative_error(coords: np.ndarray, target: np.ndarray) -> float:
-    """Mean Eq. 4 error over all landmark pairs (diagonal excluded)."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    euclidean = np.sqrt((diff**2).sum(axis=2))
-    mask = ~np.eye(len(coords), dtype=bool)
-    return float(
-        (np.abs(target - euclidean)[mask] / target[mask]).mean()
-    )
-
-
 def embed_landmarks(
     pair_matrix: np.ndarray,
     dim: int,

@@ -76,23 +76,25 @@ def test_twice_run_identical_under_sanitizer(workload, monkeypatch):
 
 _BEST_ARM_SCRIPT = """
 import json, sys
-from repro.core.routing.adaptive import AdaptiveRouting
+from repro.core.routing.adaptive import AdaptiveRouting, _ClassState
 
 router = AdaptiveRouting.__new__(AdaptiveRouting)
-router._arm_names = ["embed", "hash"]
+router._arm_names = ("embed", "hash")
 # Crafted so the arm means are float-summation-order sensitive:
 # 0.1 + 0.2 + 0.3 is 0.6000000000000001 or 0.6 depending on order, so
 # hash's mean either ties embed's exact 0.2 (tie -> embed, listed first)
-# or dips below it (-> hash). Summing in set order flips the winner
-# across PYTHONHASHSEED values; sorted order cannot.
-router._score_ewma = {}
+# or dips below it (-> hash). The classes are registered in set order,
+# which varies with PYTHONHASHSEED: summing in registration order flips
+# the winner across seeds; sorted order cannot.
 values = {
     "hash": {"pointA": 0.1, "travB": 0.2, "walkC": 0.3},
     "embed": {"pointA": 0.2, "travB": 0.2, "walkC": 0.2},
 }
-for arm, scores in values.items():
-    for cls, score in scores.items():
-        router._score_ewma[(cls, arm)] = score
+router._classes = {}
+for cls in {"pointA", "travB", "walkC"}:
+    state = router._classes[cls] = _ClassState(router._arm_names)
+    for arm, scores in values.items():
+        state.arms[arm].score = scores[cls]
 print(json.dumps(router._global_best_arm()))
 """
 

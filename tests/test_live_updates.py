@@ -345,6 +345,14 @@ class TestStalenessAndRefresh:
             fallback = embedding.landmark_coords.mean(axis=0)
             assert not np.allclose(c200, fallback)
 
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_refresh_interval_below_one_rejected(self, interval):
+        # 0 and negative intervals used to mean "refresh after every
+        # batch, even an empty one" without saying so; None is manual.
+        config = _config("hash", update_refresh_interval=interval)
+        with pytest.raises(ValueError, match="update_refresh_interval"):
+            GraphService.open(ring_graph(8), config)
+
     def test_auto_refresh_reports_false_when_nothing_refreshable(self):
         # Code-review regression: report.refreshed must not claim a
         # refresh happened when nothing could be refreshed.

@@ -1,17 +1,20 @@
 """The public surface, pinned: every exported name and every config knob.
 
-Adding a name to a package ``__all__`` or a field to ``ClusterConfig``
+Adding a name to a package ``__all__``, a field to ``ClusterConfig``, a
+parameter to ``AdaptiveRouting`` or a key to its ``snapshot()``
 fails here until the literal below grows by one line — which is the
 point: a new name or knob should be a visible diff, and ROADMAP aim 2
 asks what it lets us delete.
 """
 
+import inspect
 from dataclasses import fields
 
 import repro
 import repro.core
 import repro.workloads
-from repro import ClusterConfig, run_workload
+from repro import ClusterConfig, GraphService, run_workload
+from repro.core import AdaptiveRouting
 from repro.graph import ring_of_cliques
 from repro.workloads import uniform_stream
 
@@ -77,6 +80,30 @@ def test_workloads_exports():
 def test_cluster_config_fields():
     # In declaration order, so a moved field shows up as well as a new one.
     assert [f.name for f in fields(ClusterConfig)] == CONFIG_FIELDS.split()
+
+
+ADAPTIVE_SNAPSHOT = "mode auditions committed pulls miss_ratio_ewma"
+
+
+def test_adaptive_routing_parameters():
+    # The service sets all three; tuning values are module constants.
+    assert tuple(inspect.signature(AdaptiveRouting).parameters) == (
+        "arms", "epoch", "seed",
+    )
+
+
+def test_adaptive_snapshot_keys():
+    graph = ring_of_cliques(6, 5)
+    config = ClusterConfig(
+        routing="adaptive", num_processors=3, num_storage_servers=2,
+        num_landmarks=6, min_separation=1, dim=3, embed_method="lmds",
+    )
+    with GraphService.open(graph, config) as service:
+        strategy = service.strategy
+        assert set(strategy.snapshot()) == set(ADAPTIVE_SNAPSHOT.split())
+        with service.session() as session:
+            session.stream(uniform_stream(graph, num_queries=40, seed=3))
+        assert set(strategy.snapshot()) == set(ADAPTIVE_SNAPSHOT.split())
 
 
 def test_run_workload_is_cold_per_call():

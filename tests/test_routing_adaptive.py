@@ -12,6 +12,7 @@ from repro.core import (
     run_workload,
 )
 from repro.core.routing import AdaptiveRouting, RoutingFeedback, RoutingStrategy
+from repro.core.routing import adaptive
 from repro.graph import ring_of_cliques
 
 
@@ -36,19 +37,19 @@ class StubArm(RoutingStrategy):
         self.feedbacks += 1
 
 
-def make_strategy(**kwargs):
+def make_strategy(monkeypatch, **constants):
+    """Three stub arms, one audition round, no probes unless asked.
+
+    ``constants`` override the module's tuning values (e.g.
+    ``DRIFT_PATIENCE=3``). The default priors name arms the stubs lack,
+    so every class starts on the first arm, ``a``.
+    """
+    settings = dict(AUDITION_ROUNDS=1, EPSILON=0.0, EPSILON_MIN=0.0)
+    settings.update(constants)
+    for name, value in settings.items():
+        monkeypatch.setattr(adaptive, name, value)  # raises on a typo
     arms = {name: StubArm(name) for name in ("a", "b", "c")}
-    params = dict(
-        epoch=2,
-        audition_rounds=1,
-        audition_delay=0,
-        epsilon=0.0,
-        epsilon_min=0.0,
-        priors={"point": "a", "walk": "a", "traversal": "a"},
-        seed=7,
-    )
-    params.update(kwargs)
-    return AdaptiveRouting(arms, **params), arms
+    return AdaptiveRouting(arms, epoch=2, seed=7), arms
 
 
 def agg(node, hops=2):
@@ -94,15 +95,6 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"epoch": 0},
-        {"audition_rounds": -1},
-        {"audition_delay": -1},
-        {"epsilon": 1.5},
-        {"epsilon_min": -0.1},
-        {"epsilon_decay": -1},
-        {"switch_margin": 1.0},
-        {"drift_threshold": 0},
-        {"drift_patience": 0},
-        {"feedback_alpha": 0},
     ])
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
@@ -110,16 +102,16 @@ class TestValidation:
 
 
 class TestAudition:
-    def test_audition_cycles_arms_palindromically(self):
-        strategy, arms = make_strategy(epoch=2, audition_rounds=2)
+    def test_audition_cycles_arms_palindromically(self, monkeypatch):
+        strategy, arms = make_strategy(monkeypatch, AUDITION_ROUNDS=2)
         labels = [run_query(strategy, agg(i)) for i in range(12)]
         arms_seen = [label.split(":")[1] for label in labels]
         # Two rounds over three arms, 2 queries per epoch, second round
         # reversed: a a b b c c | c c b b a a
         assert arms_seen == list("aabbcc" + "ccbbaa")
 
-    def test_mode_transitions_to_committed(self):
-        strategy, _ = make_strategy()
+    def test_mode_transitions_to_committed(self, monkeypatch):
+        strategy, _ = make_strategy(monkeypatch)
         assert strategy.mode == "audition"
         for i in range(6):
             run_query(strategy, agg(i))
@@ -130,28 +122,18 @@ class TestAudition:
         assert strategy.mode == "committed"
         assert strategy.choose(agg(0), [0]) == 0
 
-    def test_delayed_audition_runs_priors_first(self):
-        strategy, _ = make_strategy(audition_delay=10)
-        labels = [run_query(strategy, agg(i)) for i in range(10)]
-        # Before the delay expires, the traffic-light prior routes.
-        assert all(label == "adaptive:a" for label in labels)
-        assert strategy.mode == "committed"
-        follow = [run_query(strategy, agg(100 + i)) for i in range(6)]
-        # Then the audition cycles every arm.
-        assert [f.split(":")[1] for f in follow] == list("aabbcc")
-
-    def test_audition_extends_until_arms_measured(self):
+    def test_audition_extends_until_arms_measured(self, monkeypatch):
         # Feedback withheld entirely: after the scheduled epochs the
         # strategy keeps auditioning (starved arms) instead of committing.
-        strategy, _ = make_strategy(epoch=2, audition_rounds=1)
+        strategy, _ = make_strategy(monkeypatch)
         for i in range(10):
             strategy.choose(agg(i), [0, 0, 0])
         assert strategy.mode == "audition"
 
 
 class TestCommit:
-    def test_commits_to_lowest_miss_ratio_arm(self):
-        strategy, arms = make_strategy()
+    def test_commits_to_lowest_miss_ratio_arm(self, monkeypatch):
+        strategy, arms = make_strategy(monkeypatch)
         # Audition: arm 'b' shows far fewer misses than 'a' and 'c'.
         ratios = {"a": 12, "b": 1, "c": 12}
         for i in range(6):
@@ -164,12 +146,12 @@ class TestCommit:
         label = run_query(strategy, agg(100))
         assert label == "adaptive:b"
 
-    def test_decision_label_defaults_to_name(self):
-        strategy, _ = make_strategy()
+    def test_decision_label_defaults_to_name(self, monkeypatch):
+        strategy, _ = make_strategy(monkeypatch)
         assert strategy.decision_label(agg(0)) == "adaptive"
 
-    def test_commit_is_sticky_between_auditions(self):
-        strategy, _ = make_strategy()
+    def test_commit_is_sticky_between_auditions(self, monkeypatch):
+        strategy, _ = make_strategy(monkeypatch)
         # 'b' wins the audition decisively.
         ratios = {"a": 10, "b": 4, "c": 10}
         for i in range(6):
@@ -181,11 +163,11 @@ class TestCommit:
         assert run_query(strategy, agg(10)) == "adaptive:b"
         # Probe-style score updates cannot overturn the commitment
         # mid-generation, even with a decisive-looking gap.
-        strategy._score_ewma[("traversal", "a")] = 0.01
+        strategy._classes["traversal"].arms["a"].score = 0.01
         assert run_query(strategy, agg(11)) == "adaptive:b"
 
-    def test_reaudition_switches_on_decisive_gap(self):
-        strategy, _ = make_strategy(switch_margin=0.1)
+    def test_reaudition_switches_on_decisive_gap(self, monkeypatch):
+        strategy, _ = make_strategy(monkeypatch, SWITCH_MARGIN=0.1)
         ratios = {"a": 10, "b": 4, "c": 10}
         for i in range(6):
             query = agg(i)
@@ -206,21 +188,22 @@ class TestCommit:
         assert run_query(strategy, agg(30)) == "adaptive:a"
         assert strategy.switches.get("traversal", 0) >= 1
 
-    def test_feedback_forwarded_to_arms(self):
-        strategy, arms = make_strategy()
+    def test_feedback_forwarded_to_arms(self, monkeypatch):
+        strategy, arms = make_strategy(monkeypatch)
         run_query(strategy, agg(0))
         assert sum(arm.feedbacks for arm in arms.values()) == 3
 
-    def test_dispatch_forwarded_to_all_arms(self):
-        strategy, arms = make_strategy()
+    def test_dispatch_forwarded_to_all_arms(self, monkeypatch):
+        strategy, arms = make_strategy(monkeypatch)
         strategy.on_dispatch(agg(0), 1)
         assert all(arm.dispatches == 1 for arm in arms.values())
 
 
 class TestDrift:
-    def _committed_strategy(self):
+    def _committed_strategy(self, monkeypatch):
         strategy, arms = make_strategy(
-            min_drift_samples=4, drift_patience=3, drift_threshold=0.5,
+            monkeypatch,
+            MIN_DRIFT_SAMPLES=4, DRIFT_PATIENCE=3, DRIFT_THRESHOLD=0.5,
         )
         for i in range(6):
             run_query(strategy, agg(i), response=10e-6)
@@ -230,22 +213,24 @@ class TestDrift:
             run_query(strategy, agg(i), response=10e-6)
         return strategy
 
-    def test_sustained_latency_spike_triggers_reaudition(self):
-        strategy = self._committed_strategy()
+    def test_sustained_latency_spike_triggers_reaudition(self, monkeypatch):
+        strategy = self._committed_strategy(monkeypatch)
         assert strategy.auditions == 1
         # Committed arm latency jumps 10x and stays there.
         for i in range(100, 140):
             run_query(strategy, agg(i), response=100e-6)
         assert strategy.auditions == 2
 
-    def test_stable_latency_never_reauditions(self):
-        strategy = self._committed_strategy()
+    def test_stable_latency_never_reauditions(self, monkeypatch):
+        strategy = self._committed_strategy(monkeypatch)
         for i in range(100, 160):
             run_query(strategy, agg(i), response=10e-6)
         assert strategy.auditions == 1
 
-    def test_class_hit_rate_collapse_triggers_reaudition(self):
-        strategy, _ = make_strategy(min_drift_samples=4, hit_rate_drop=0.2)
+    def test_class_hit_rate_collapse_triggers_reaudition(self, monkeypatch):
+        strategy, _ = make_strategy(
+            monkeypatch, MIN_DRIFT_SAMPLES=4, HIT_RATE_DROP=0.2,
+        )
         # Warm audition + committed phase: high hit ratio.
         for i in range(20):
             run_query(strategy, agg(i), hits=15, misses=1)
@@ -258,12 +243,13 @@ class TestDrift:
                 break
         assert strategy.auditions == 2
 
-    def test_reaudition_recommits_to_new_best_arm(self):
+    def test_reaudition_recommits_to_new_best_arm(self, monkeypatch):
         # Shifting-hotspot scenario: 'a' wins the first audition, the world
         # changes (a's latency and hit ratio degrade), and after the
         # triggered re-audition the strategy commits to 'b'.
         strategy, _ = make_strategy(
-            min_drift_samples=4, drift_patience=3, drift_threshold=0.5,
+            monkeypatch,
+            MIN_DRIFT_SAMPLES=4, DRIFT_PATIENCE=3, DRIFT_THRESHOLD=0.5,
         )
         ratios = {"a": 1, "b": 6, "c": 12}
         for i in range(6):
@@ -293,9 +279,9 @@ class TestDrift:
 
 
 class TestExploration:
-    def test_epsilon_probes_refresh_other_arms(self):
+    def test_epsilon_probes_refresh_other_arms(self, monkeypatch):
         strategy, arms = make_strategy(
-            epsilon=1.0, epsilon_min=1.0, epsilon_decay=0.0,
+            monkeypatch, EPSILON=1.0, EPSILON_MIN=1.0, EPSILON_DECAY=0.0,
         )
         for i in range(6):
             run_query(strategy, agg(i))
@@ -305,9 +291,9 @@ class TestExploration:
             run_query(strategy, agg(i))
         assert strategy.explorations - before == 10
 
-    def test_exploration_rate_decays(self):
+    def test_exploration_rate_decays(self, monkeypatch):
         strategy, _ = make_strategy(
-            epsilon=0.5, epsilon_min=0.01, epsilon_decay=1.0,
+            monkeypatch, EPSILON=0.5, EPSILON_MIN=0.01, EPSILON_DECAY=1.0,
         )
         early = strategy.exploration_rate("traversal")
         for i in range(6):
