@@ -12,10 +12,10 @@ module is the front door that makes overload survivable:
 * **deficit round-robin release** — queued queries enter the router in
   DRR order with per-cost-class weights, so one tenant's heavy analytics
   cannot starve another tenant's point lookups, and the router itself is
-  kept shallow (``router_depth``) so queueing happens where fairness is
-  enforceable;
+  kept shallow (two queries per processor) so queueing happens where
+  fairness is enforceable;
 * **load shedding** — past the overload watermark the controller drops
-  the *heavy* operators first (``k_reach``, ``ppr`` by default); past the
+  the *heavy* operators first (``k_reach``, ``ppr``); past the
   severe watermark everything but point-class queries sheds. Shedding is
   cheaper than rejecting at the queue: a shed query never occupies a
   slot a cheap query could have used;
@@ -29,6 +29,10 @@ router backlog); everything admitted is eventually served. The
 :class:`~repro.core.metrics.WorkloadReport` so goodput-vs-offered-load
 and per-tenant shed/reject counts land next to the latency percentiles
 they explain.
+
+The only knob is :attr:`AdmissionConfig.tenant_queue_limit`. The DRR
+quantum, the class weights, the heavy operators, the router depth and
+the overload watermarks are module constants, read where they are used.
 """
 
 from __future__ import annotations
@@ -58,45 +62,28 @@ DEFAULT_CLASS_WEIGHTS: Mapping[str, float] = {
 #: dwarfs the rest of the catalog (multi-walk PPR, batched reachability).
 DEFAULT_HEAVY_OPERATORS = frozenset({"k_reach", "ppr"})
 
+#: DRR deficit granted per tenant visit: one traversal or sixteen points.
+QUANTUM = 16.0
+
+#: Overload watermarks, as *fractions of aggregate tenant queue capacity*
+#: (``tenants_seen * tenant_queue_limit``) measured against total pending
+#: work (queued + router backlog): ``OVERLOAD_HIGH`` enters overload,
+#: ``OVERLOAD_LOW`` exits it (hysteresis), and ``SEVERE_HIGH`` escalates
+#: shedding from the heavy operators to every non-point query.
+OVERLOAD_HIGH = 0.5
+OVERLOAD_LOW = 0.25
+SEVERE_HIGH = 0.85
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Knobs of the admission/fair-queueing layer.
-
-    Overload watermarks are *fractions of aggregate tenant queue
-    capacity* (``tenants_seen * tenant_queue_limit``), measured against
-    total pending work (queued + router backlog): ``overload_high``
-    enters overload, ``overload_low`` exits it (hysteresis), and
-    ``severe_high`` escalates shedding from the heavy operators to every
-    non-point query.
-    """
+    """The admission layer's one knob: each tenant's queue bound."""
 
     tenant_queue_limit: int = 64
-    quantum: float = 16.0
-    class_weights: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_CLASS_WEIGHTS)
-    )
-    heavy_operators: frozenset = DEFAULT_HEAVY_OPERATORS
-    #: Max router backlog the DRR pump maintains (None = 2 per processor).
-    router_depth: Optional[int] = None
-    overload_high: float = 0.5
-    overload_low: float = 0.25
-    severe_high: float = 0.85
 
     def __post_init__(self) -> None:
         if self.tenant_queue_limit < 1:
             raise ValueError("tenant_queue_limit must be >= 1")
-        if self.quantum <= 0:
-            raise ValueError("quantum must be positive")
-        if any(w <= 0 for w in self.class_weights.values()):
-            raise ValueError("class weights must be positive")
-        if self.router_depth is not None and self.router_depth < 1:
-            raise ValueError("router_depth must be >= 1")
-        if not 0 < self.overload_low <= self.overload_high <= self.severe_high:
-            raise ValueError(
-                "watermarks must satisfy 0 < overload_low <= overload_high "
-                "<= severe_high"
-            )
 
 
 @dataclass
@@ -182,10 +169,8 @@ class AdmissionController:
         self._overload_since: Optional[float] = None
         self._windows: List[Tuple[float, float]] = []
         self._attached = False
-        if config is not None and config.router_depth is not None:
-            self._router_depth = config.router_depth
-        else:
-            self._router_depth = 2 * router.num_processors
+        #: Max router backlog the DRR pump maintains.
+        self._depth = 2 * router.num_processors
 
     # -- lifecycle ------------------------------------------------------------
     def attach(self) -> "AdmissionController":
@@ -204,35 +189,12 @@ class AdmissionController:
         self.pump()
 
     # -- introspection ---------------------------------------------------------
-    @property
-    def passthrough(self) -> bool:
-        return self.config is None
-
     def queued(self, tenant: Optional[str] = None) -> int:
         """Queries waiting in tenant queues (one tenant, or all)."""
         if tenant is None:
             return self._queued
         state = self._tenants.get(tenant)
         return len(state.queue) if state is not None else 0
-
-    def pending(self) -> int:
-        """Total un-finished admitted+queued work the controller sees."""
-        return self._queued + self.router.backlog()
-
-    def backpressure(self, tenant: str) -> bool:
-        """True when ``tenant``'s queue is full — the caller should back
-        off (its next offers will be rejected)."""
-        if self.config is None:
-            return False
-        state = self._tenants.get(tenant)
-        return (
-            state is not None
-            and len(state.queue) >= self.config.tenant_queue_limit
-        )
-
-    @property
-    def overloaded(self) -> bool:
-        return self._overload_level > 0
 
     # -- admission -------------------------------------------------------------
     def _tenant(self, tenant: str) -> _TenantState:
@@ -244,40 +206,35 @@ class AdmissionController:
         return state
 
     def _cost(self, query: Query) -> float:
-        weights = (
-            self.config.class_weights
-            if self.config is not None
-            else DEFAULT_CLASS_WEIGHTS
-        )
+        weights = DEFAULT_CLASS_WEIGHTS
         query_class = default_registry.classify(query)
         return weights.get(query_class, max(weights.values()))
 
     def _update_overload(self) -> None:
         config = self.config
-        if config is None:
-            return
+        assert config is not None
         capacity = max(1, len(self._tenants)) * config.tenant_queue_limit
-        pending = self.pending()
+        # Total un-finished work the controller sees: queued + in router.
+        pending = self._queued + self.router.backlog()
         if self._overload_level == 0:
-            if pending >= config.overload_high * capacity:
+            if pending >= OVERLOAD_HIGH * capacity:
                 self._overload_level = 1
                 self._overload_since = self.env.now
-        elif pending <= config.overload_low * capacity:
+        elif pending <= OVERLOAD_LOW * capacity:
             self._overload_level = 0
             if self._overload_since is not None:
                 self._windows.append((self._overload_since, self.env.now))
                 self._overload_since = None
         if self._overload_level:
-            severe = pending >= config.severe_high * capacity
+            severe = pending >= SEVERE_HIGH * capacity
             self._overload_level = 2 if severe else 1
 
 
     def _should_shed(self, query: Query) -> bool:
         if self._overload_level == 0:
             return False
-        assert self.config is not None
         name = default_registry.operator_name(query)
-        if name in self.config.heavy_operators:
+        if name in DEFAULT_HEAVY_OPERATORS:
             return True
         if self._overload_level >= 2:
             return default_registry.classify(query) != "point"
@@ -320,18 +277,19 @@ class AdmissionController:
     def pump(self) -> int:
         """Release queued queries into the router in DRR order.
 
-        Runs until the router backlog reaches ``router_depth`` or the
-        tenant queues drain; returns how many queries were released. Each
-        DRR visit grants one ``quantum`` of deficit, a release spends the
-        query's class weight, and a tenant that empties its queue forfeits
-        its remaining deficit (idle tenants bank no credit — standard DRR).
+        Runs until the router backlog reaches two queries per processor
+        or the tenant queues drain; returns how many queries were
+        released. Each DRR visit grants one :data:`QUANTUM` of deficit, a
+        release spends the query's class weight, and a tenant that empties
+        its queue forfeits its remaining deficit (idle tenants bank no
+        credit — standard DRR).
         """
         if self.config is None:
             return 0
         released = 0
         router = self.router
-        depth = self._router_depth
-        quantum = self.config.quantum
+        depth = self._depth
+        quantum = QUANTUM
         while self._queued > 0 and router.backlog() < depth:
             # Advance the cursor to the next tenant with queued work.
             num = len(self._order)

@@ -80,6 +80,10 @@ class PlacementConfig:
     #: ``heat_threshold * release_fraction`` (0 disables release).
     release_fraction: float = 0.25
 
+    def __post_init__(self) -> None:
+        if self.interval_s <= 0:
+            raise ValueError("interval_s must be positive")
+
 
 class PlacementManager:
     """Periodic planner/executor of hot-record migrations & replications."""

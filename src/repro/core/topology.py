@@ -80,6 +80,14 @@ class TopologyConfig:
     #: Backoff ceiling.
     retry_backoff_cap_s: float = 500.0e-6
 
+    def __post_init__(self) -> None:
+        if self.replication < 1:
+            raise ValueError("replication must be >= 1")
+        if self.repair_interval_s < 0:
+            raise ValueError("repair_interval_s must be >= 0")
+        if self.retry_limit < 0:
+            raise ValueError("retry_limit must be >= 0")
+
 
 @dataclass(frozen=True)
 class ChaosEvent:
@@ -285,7 +293,10 @@ class ClusterTopology:
         """Periodic repair rounds until a round finds nothing to do.
 
         New work only arises from fail/recover events, and those re-spawn
-        the loop — so exiting on an idle round never strands work.
+        the loop — so exiting on an idle round never strands work. A
+        round with no live server to write to also ends the loop (the
+        recover that revives one restarts it), so a cluster whose every
+        server is dead runs dry and surfaces the readers' errors.
         """
         while True:
             yield self.env.timeout(self.config.repair_interval_s)
@@ -298,18 +309,18 @@ class ClusterTopology:
     def _repair_round(self):
         """One bounded round: prune dead replicas, plan what to re-write
         within the byte budget, run the moves through the tier's record
-        mover. Returns whether any work was done or remains."""
+        mover. Returns whether any work was done or remains to do now."""
         tier = self.tier
         directory = self.directory
         alive = [server.alive for server in tier.servers]
         live_sids = [sid for sid, up in enumerate(alive) if up]
         if not live_sids:
-            return True  # nowhere to write yet; keep waiting for a recover
+            return False  # nowhere to write; recover_server restarts us
         assets = self.service.assets
         sizes = assets.record_sizes
         node_ids = assets.node_ids
         owner_of = assets.owner_array(tier.num_servers)
-        copies = max(1, min(self.config.replication, len(live_sids)))
+        copies = min(self.config.replication, len(live_sids))
         budget = self.config.repair_byte_budget
         rewrites: List[Move] = []
         failbacks: List[Move] = []

@@ -76,12 +76,6 @@ class LiveUpdateManager:
         #: landmark/embed strategies, so membership changes are visible to
         #: routing immediately. refresh() must clear() it, never rebind it.
         self.stale = staleness
-        #: How far an already-embedded stale node moves toward its
-        #: neighbors' centroid on refresh (0 = keep coordinates, only
-        #: clear staleness). Edge churn barely moves true hop distances,
-        #: so re-placement is conservative by default; new nodes always
-        #: take the full centroid placement.
-        self.refresh_blend = 0.0
         self._since_refresh = 0
         # Cumulative totals across the service lifetime.
         self.updates_applied = 0
@@ -332,28 +326,17 @@ class LiveUpdateManager:
         return len(stale)
 
     def _refresh_embedding(self, embedding, graph, stale: List[int]) -> None:
-        """Re-place one embedding's stale nodes.
+        """Place one embedding's unplaced stale nodes.
 
-        Already-embedded nodes take one blend-damped relaxation step
-        (``refresh_blend``; 0 keeps their coordinates). *Unplaced* nodes
-        are placed from their embedded neighbors' centroid, deferring any
-        node with no embedded neighbor yet to a second pass so chains of
-        new nodes resolve in dependency order; only nodes still isolated
-        after both passes fall back to the landmark centroid.
+        Already-embedded nodes keep their coordinates: edge churn barely
+        moves true hop distances, so refresh only clears their staleness.
+        *Unplaced* nodes are placed from their embedded neighbors'
+        centroid, deferring any node with no embedded neighbor yet to a
+        second pass so chains of new nodes resolve in dependency order;
+        only nodes still isolated after both passes fall back to the
+        landmark centroid.
         """
-        unplaced = []
-        for node in stale:
-            if embedding.knows(node):
-                embedding.refresh_node(
-                    node,
-                    [
-                        embedding.coordinates_of(neighbor)
-                        for neighbor in graph.neighbors(node)
-                    ],
-                    blend=self.refresh_blend,
-                )
-            else:
-                unplaced.append(node)
+        unplaced = [node for node in stale if not embedding.knows(node)]
         for _sweep in range(2):
             if not unplaced:
                 return

@@ -10,7 +10,7 @@ dedicated streams shaping traffic for the extended families (``ppr``,
 :func:`churn_stream`, which interleaves live
 :class:`~repro.graph.updates.GraphUpdate` mutations with hotspot queries;
 :mod:`~repro.workloads.open_loop` timestamps any query stream as an
-open-loop arrival process (Poisson / diurnal / flash-crowd) and
+open-loop Poisson arrival process and
 multiplexes per-tenant streams for
 :meth:`~repro.core.service.QuerySession.serve`.
 """
@@ -27,8 +27,6 @@ from .hotspot import (
 )
 from .open_loop import (
     Arrival,
-    diurnal_arrivals,
-    flash_crowd_arrivals,
     merge_arrivals,
     poisson_arrivals,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "DEFAULT_MIX",
     "FULL_MIX",
     "churn_stream",
-    "diurnal_arrivals",
-    "flash_crowd_arrivals",
     "hotspot_stream",
     "interleave",
     "k_reach_stream",

@@ -13,11 +13,6 @@ call injects at absolute simulated timestamps:
 * :func:`poisson_arrivals` — homogeneous Poisson process at ``rate``
   queries per simulated second (memoryless inter-arrival gaps, the
   classic open-loop model);
-* :func:`diurnal_arrivals` — inhomogeneous Poisson whose intensity
-  follows a day-curve sinusoid (peak/trough traffic), generated by
-  Lewis–Shedler thinning;
-* :func:`flash_crowd_arrivals` — baseline Poisson with a burst window at
-  a multiplied rate (a link goes viral), also via thinning;
 * :func:`merge_arrivals` — multiplex per-tenant streams into one
   time-ordered arrival sequence (the multi-tenant front door).
 
@@ -41,8 +36,6 @@ from ..core.queries import Query
 
 __all__ = [
     "Arrival",
-    "diurnal_arrivals",
-    "flash_crowd_arrivals",
     "merge_arrivals",
     "poisson_arrivals",
 ]
@@ -62,12 +55,6 @@ class Arrival:
     query: Query
 
 
-def _check_rate(rate: float, name: str = "rate") -> None:
-    if not isfinite(rate) or rate <= 0:
-        raise ValueError(f"{name} must be a positive, finite "
-                         f"queries-per-second value, got {rate!r}")
-
-
 def poisson_arrivals(
     queries: Iterable[Query],
     rate: float,
@@ -83,7 +70,9 @@ def poisson_arrivals(
     arrival pattern in time (identical queries, gaps ∝ ``1/rate``), which
     is what lets an offered-load sweep replay one workload at many loads.
     """
-    _check_rate(rate)
+    if not isfinite(rate) or rate <= 0:
+        raise ValueError("rate must be a positive, finite "
+                         f"queries-per-second value, got {rate!r}")
     if start < 0:
         raise ValueError("start must be >= 0")
 
@@ -97,110 +86,12 @@ def poisson_arrivals(
     return generate()
 
 
-def _thinned_arrivals(
-    queries: Iterable[Query],
-    intensity,  # callable: t (offset from start) -> instantaneous rate
-    max_rate: float,
-    tenant: str,
-    seed: int,
-    start: float,
-) -> Iterator[Arrival]:
-    """Lewis–Shedler thinning: candidates at ``max_rate``, accepted with
-    probability ``intensity(t) / max_rate`` — an exact sampler for any
-    inhomogeneous Poisson process whose intensity stays <= max_rate."""
-
-    def generate() -> Iterator[Arrival]:
-        rng = np.random.default_rng(seed)
-        at = start
-        for query in queries:
-            while True:
-                at += rng.exponential(1.0 / max_rate)
-                if rng.random() * max_rate <= intensity(at - start):
-                    break
-            yield Arrival(at=at, tenant=tenant, query=query)
-
-    return generate()
-
-
-def diurnal_arrivals(
-    queries: Iterable[Query],
-    base_rate: float,
-    amplitude: float = 0.5,
-    period: float = 60.0,
-    phase: float = 0.0,
-    tenant: str = "default",
-    seed: int = 0,
-    start: float = 0.0,
-) -> Iterator[Arrival]:
-    """Sinusoidally-modulated Poisson arrivals (the day/night curve).
-
-    Instantaneous intensity is ``base_rate * (1 + amplitude *
-    sin(2*pi*(t/period) + phase))`` — peaks at ``(1+amplitude)`` and
-    troughs at ``(1-amplitude)`` times the base rate — so a fixed-size
-    query stream compresses into rush hour and stretches overnight.
-    ``amplitude`` must lie in ``[0, 1)`` (intensity stays positive).
-    """
-    _check_rate(base_rate, "base_rate")
-    if not 0 <= amplitude < 1:
-        raise ValueError("amplitude must be in [0, 1) so the arrival "
-                         "intensity stays positive")
-    if period <= 0:
-        raise ValueError("period must be positive")
-    if start < 0:
-        raise ValueError("start must be >= 0")
-    two_pi = 2.0 * np.pi
-
-    def intensity(t: float) -> float:
-        return base_rate * (1.0 + amplitude * np.sin(two_pi * t / period + phase))
-
-    return _thinned_arrivals(
-        queries, intensity, base_rate * (1.0 + amplitude), tenant, seed, start,
-    )
-
-
-def flash_crowd_arrivals(
-    queries: Iterable[Query],
-    base_rate: float,
-    burst_start: float,
-    burst_duration: float,
-    burst_multiplier: float = 5.0,
-    tenant: str = "default",
-    seed: int = 0,
-    start: float = 0.0,
-) -> Iterator[Arrival]:
-    """Poisson baseline with a flash-crowd burst window.
-
-    Intensity is ``base_rate`` everywhere except
-    ``[burst_start, burst_start + burst_duration)`` (offsets from
-    ``start``), where it jumps to ``base_rate * burst_multiplier`` — the
-    canonical overload transient admission control exists to absorb.
-    """
-    _check_rate(base_rate, "base_rate")
-    if burst_start < 0 or burst_duration <= 0:
-        raise ValueError("burst_start must be >= 0 and burst_duration > 0")
-    if burst_multiplier < 1:
-        raise ValueError("burst_multiplier must be >= 1 (use plain "
-                         "poisson_arrivals for no burst)")
-    if start < 0:
-        raise ValueError("start must be >= 0")
-    burst_end = burst_start + burst_duration
-
-    def intensity(t: float) -> float:
-        if burst_start <= t < burst_end:
-            return base_rate * burst_multiplier
-        return base_rate
-
-    return _thinned_arrivals(
-        queries, intensity, base_rate * burst_multiplier, tenant, seed, start,
-    )
-
-
 def merge_arrivals(*streams: Iterable[Arrival]) -> Iterator[Arrival]:
     """Multiplex per-tenant arrival streams into one time-ordered stream.
 
     A lazy k-way merge on ``at`` (ties break by argument position, so the
     merge is deterministic); each input must itself be time-ordered, which
-    every generator in this module guarantees. This is the multi-tenant
+    :func:`poisson_arrivals` guarantees. This is the multi-tenant
     front door: one serving loop consumes the merged stream and the
     admission layer sees every tenant's pressure at once.
     """

@@ -15,6 +15,7 @@ from repro.core import (
     RandomWalkQuery,
     ReachabilityQuery,
 )
+from repro.core import admission
 from repro.core.queries import KSourceReachabilityQuery
 from repro.datasets import load_dataset
 from repro.sim import Environment
@@ -39,6 +40,16 @@ def ppr(n=0):
 
 def k_reach(n=0):
     return KSourceReachabilityQuery(node=n, sources=(n, n + 1))
+
+
+def overloaded(controller):
+    return controller._overload_level > 0
+
+
+def set_watermarks(monkeypatch, high, low, severe):
+    monkeypatch.setattr(admission, "OVERLOAD_HIGH", high)
+    monkeypatch.setattr(admission, "OVERLOAD_LOW", low)
+    monkeypatch.setattr(admission, "SEVERE_HIGH", severe)
 
 
 class FakeRouter:
@@ -78,31 +89,23 @@ class TestConfigValidation:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="tenant_queue_limit"):
             AdmissionConfig(tenant_queue_limit=0)
-        with pytest.raises(ValueError, match="quantum"):
-            AdmissionConfig(quantum=0)
-        with pytest.raises(ValueError, match="weights"):
-            AdmissionConfig(class_weights={"point": 0.0})
-        with pytest.raises(ValueError, match="router_depth"):
-            AdmissionConfig(router_depth=0)
-        with pytest.raises(ValueError, match="watermarks"):
-            AdmissionConfig(overload_low=0.6, overload_high=0.5)
-        with pytest.raises(ValueError, match="watermarks"):
-            AdmissionConfig(overload_high=0.9, severe_high=0.8)
 
 
 class TestPassthrough:
     def test_no_config_submits_directly_and_counts(self):
         router = FakeRouter()
         controller = AdmissionController(router)
-        assert controller.passthrough
+        assert controller.config is None
+        # Unbounded and never shed: a heavy flood is admitted offer by offer.
         for i in range(100):
             assert controller.offer(ppr(i), tenant="t") == ADMITTED
-        # Unbounded: everything went straight to the router.
+        # Everything went straight to the router.
         assert router.backlog() == 100
         assert controller.queued() == 0
-        assert not controller.backpressure("t")
-        assert not controller.overloaded
+        assert controller.pump() == 0
+        assert not overloaded(controller)
         stats = controller.stats()
+        assert stats.overload_windows == []
         assert stats.tenants["t"].offered == 100
         assert stats.tenants["t"].admitted == 100
         assert stats.shed == stats.rejected == 0
@@ -110,18 +113,19 @@ class TestPassthrough:
 
 
 class TestBoundedQueues:
-    def config(self, **kw):
-        kw.setdefault("tenant_queue_limit", 4)
-        kw.setdefault("router_depth", 1)
+    def controller(self, router, monkeypatch):
         # Watermarks high enough that these tests never shed.
-        kw.setdefault("overload_high", 10.0)
-        kw.setdefault("overload_low", 5.0)
-        kw.setdefault("severe_high", 20.0)
-        return AdmissionConfig(**kw)
+        set_watermarks(monkeypatch, high=10.0, low=5.0, severe=20.0)
+        controller = AdmissionController(
+            router, AdmissionConfig(tenant_queue_limit=4)
+        )
+        # A depth-1 router (the service keeps two per processor).
+        controller._depth = 1
+        return controller
 
-    def test_full_queue_rejects_and_signals_backpressure(self):
+    def test_full_queue_rejects_and_signals_backpressure(self, monkeypatch):
         router = FakeRouter()
-        controller = AdmissionController(router, self.config())
+        controller = self.controller(router, monkeypatch)
         # First offer is pumped straight into the (depth-1) router...
         assert controller.offer(point(0), "t") == ADMITTED
         assert router.backlog() == 1
@@ -129,7 +133,6 @@ class TestBoundedQueues:
         for i in range(1, 5):
             assert controller.offer(point(i), "t") == ADMITTED
             assert controller.queued("t") == i
-        assert controller.backpressure("t")
         # ...and the 6th is rejected (bounded queue = backpressure).
         assert controller.offer(point(5), "t") == REJECTED
         stats = controller.stats()
@@ -139,19 +142,20 @@ class TestBoundedQueues:
         assert stats.tenants["t"].max_queue_depth == 4
         assert stats.delivery_ratio() == pytest.approx(5 / 6)
 
-    def test_rejection_is_per_tenant(self):
+    def test_rejection_is_per_tenant(self, monkeypatch):
         router = FakeRouter()
-        controller = AdmissionController(router, self.config())
-        for i in range(6):
-            controller.offer(point(i), "greedy")
-        assert controller.backpressure("greedy")
+        controller = self.controller(router, monkeypatch)
+        decisions = [controller.offer(point(i), "greedy") for i in range(6)]
+        assert decisions == [ADMITTED] * 5 + [REJECTED]
+        assert controller.queued("greedy") == 4
         # Another tenant's queue is unaffected by greedy's pressure.
-        assert not controller.backpressure("quiet")
+        assert controller.queued("quiet") == 0
         assert controller.offer(point(99), "quiet") == ADMITTED
+        assert controller.offer(point(7), "greedy") == REJECTED
 
-    def test_completion_callback_pulls_queued_work(self):
+    def test_completion_callback_pulls_queued_work(self, monkeypatch):
         router = FakeRouter()
-        controller = AdmissionController(router, self.config()).attach()
+        controller = self.controller(router, monkeypatch).attach()
         for i in range(5):
             controller.offer(point(i), "t")
         assert router.backlog() == 1
@@ -171,15 +175,20 @@ class TestBoundedQueues:
 
 
 class TestDeficitRoundRobin:
-    def test_release_order_equalises_cost_not_count(self):
+    @pytest.fixture
+    def controller(self, monkeypatch):
+        monkeypatch.setattr(admission, "QUANTUM", 16.0)
+        set_watermarks(monkeypatch, high=10.0, low=5.0, severe=20.0)
+        # 50 processors: the router holds up to 100 released queries.
+        router = FakeRouter(num_processors=50)
+        return AdmissionController(
+            router, AdmissionConfig(tenant_queue_limit=64)
+        )
+
+    def test_release_order_equalises_cost_not_count(self, controller):
         """A flood of cheap points and a flood of expensive traversals
         share release bandwidth by *cost*: 16 points per traversal."""
-        config = AdmissionConfig(
-            tenant_queue_limit=64, quantum=16.0, router_depth=100,
-            overload_high=10.0, overload_low=5.0, severe_high=20.0,
-        )
-        router = FakeRouter()
-        controller = AdmissionController(router, config)
+        router = controller.router
         # Hold the router "full" so offers queue instead of releasing.
         router._backlog = 100
         for i in range(32):
@@ -199,13 +208,8 @@ class TestDeficitRoundRobin:
         # Once "cheap" drains, "heavy" gets every visit.
         assert order[34:] == ["heavy"] * 6
 
-    def test_idle_tenant_banks_no_deficit(self):
-        config = AdmissionConfig(
-            tenant_queue_limit=64, quantum=16.0, router_depth=100,
-            overload_high=10.0, overload_low=5.0, severe_high=20.0,
-        )
-        router = FakeRouter()
-        controller = AdmissionController(router, config)
+    def test_idle_tenant_banks_no_deficit(self, controller):
+        router = controller.router
         router._backlog = 100
         controller.offer(point(0), "a")
         router._backlog = 0
@@ -222,20 +226,22 @@ class TestDeficitRoundRobin:
 
 
 class TestLoadShedding:
-    def config(self):
+    @pytest.fixture
+    def controller(self, monkeypatch):
         # One tenant, limit 10 -> capacity 10: overload at pending >= 5,
         # severe at >= 8.5, exit at <= 2.5.
-        return AdmissionConfig(
-            tenant_queue_limit=10, router_depth=4,
-            overload_high=0.5, overload_low=0.25, severe_high=0.85,
+        set_watermarks(monkeypatch, high=0.5, low=0.25, severe=0.85)
+        # Two processors: the router holds up to 4 released queries.
+        router = FakeRouter(num_processors=2)
+        return AdmissionController(
+            router, AdmissionConfig(tenant_queue_limit=10)
         )
 
-    def test_heavy_operators_shed_first(self):
-        router = FakeRouter()
-        controller = AdmissionController(router, self.config())
+    def test_heavy_operators_shed_first(self, controller):
+        router = controller.router
         router._backlog = 6  # pending 6 >= 5 -> overload level 1
         assert controller.offer(point(0), "t") == ADMITTED
-        assert controller.overloaded
+        assert overloaded(controller)
         assert controller.offer(ppr(1), "t") == SHED
         assert controller.offer(k_reach(2), "t") == SHED
         # Level 1 sheds only the heavy operators; walks still enter.
@@ -244,9 +250,8 @@ class TestLoadShedding:
         assert stats.tenants["t"].shed == 2
         assert stats.tenants["t"].shed_by_operator == {"ppr": 1, "k_reach": 1}
 
-    def test_severe_overload_sheds_all_but_point(self):
-        router = FakeRouter()
-        controller = AdmissionController(router, self.config())
+    def test_severe_overload_sheds_all_but_point(self, controller):
+        router = controller.router
         router._backlog = 9  # pending 9 >= 8.5 -> severe (level 2)
         assert controller.offer(point(0), "t") == ADMITTED
         assert controller.offer(walk(1), "t") == SHED
@@ -255,33 +260,32 @@ class TestLoadShedding:
         # Point lookups are never shed, at any level.
         assert controller.offer(point(4), "t") == ADMITTED
 
-    def test_hysteresis_exits_only_below_low_watermark(self):
-        router = FakeRouter()
-        controller = AdmissionController(router, self.config())
+    def test_hysteresis_exits_only_below_low_watermark(self, controller):
+        router = controller.router
         router._backlog = 6
         controller.offer(point(0), "t")
-        assert controller.overloaded
+        assert overloaded(controller)
         # Dropping below high but above low stays overloaded (no chatter).
         router._backlog = 4
         controller.offer(point(1), "t")
-        assert controller.overloaded
+        assert overloaded(controller)
         # Below the low watermark the window closes.
         router._backlog = 0
         controller.offer(point(2), "t")
-        assert not controller.overloaded
+        assert not overloaded(controller)
         assert len(controller.stats().overload_windows) == 1
 
-    def test_stats_snapshot_closes_open_window(self):
-        router = FakeRouter()
-        controller = AdmissionController(router, self.config())
+    def test_stats_snapshot_closes_open_window(self, controller):
+        router = controller.router
         router._backlog = 6
         controller.offer(point(0), "t")
-        assert controller.overloaded
+        assert overloaded(controller)
         stats = controller.stats(now=5.0)
         assert stats.overload_windows == [(0.0, 5.0)]
         assert stats.time_in_overload() == 5.0
         # Snapshotting must not close the live window.
-        assert controller.overloaded
+        assert overloaded(controller)
+        assert controller.stats(now=6.0).overload_windows == [(0.0, 6.0)]
 
 
 class TestEndToEndOverload:

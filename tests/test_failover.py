@@ -129,6 +129,31 @@ def _split_pair(service):
     )
 
 
+class TestEveryServerDead:
+    def test_repair_parks_and_drain_raises(self, graph):
+        """With failover on and no live server, repair has nowhere to
+        write: the loop parks instead of rescheduling itself forever, so
+        drain() surfaces the reader's error instead of hanging."""
+        config = _config(topology=TopologyConfig(retry_limit=0))
+        with GraphService.open(graph, config) as service:
+            topology = service.topology
+            session = service.session()
+            topology.fail_server(0)
+            topology.fail_server(1)
+            session.submit_many(_queries([0]))
+            # Bounded in simulated time, so a loop that keeps spinning
+            # fails here instead of hanging in drain().
+            service.env.run(until=1.0)
+            assert topology._repair_process is None
+            assert topology.repair_rounds == 1
+            with pytest.raises(StorageServerDown):
+                session.drain()
+            # The recover that revives a server restarts repair.
+            topology.recover_server(0)
+            assert topology._repair_process is not None
+            service.close(drain=False)
+
+
 class TestSanitizedMoverFailures:
     """The sanitize x tolerated-dead-write trap: a write leg that fails
     while the mover still waits on an *earlier* leg has no waiter at its

@@ -17,8 +17,6 @@ from repro.core import (
 )
 from repro.datasets import load_dataset
 from repro.workloads import (
-    diurnal_arrivals,
-    flash_crowd_arrivals,
     hotspot_stream,
     merge_arrivals,
     poisson_arrivals,
@@ -46,24 +44,9 @@ class TestValidation:
         for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="positive, finite"):
                 poisson_arrivals(qs, rate=bad)
-        with pytest.raises(ValueError, match="positive, finite"):
-            diurnal_arrivals(qs, base_rate=0)
-        with pytest.raises(ValueError, match="positive, finite"):
-            flash_crowd_arrivals(qs, base_rate=-2, burst_start=0,
-                                 burst_duration=1)
 
     def test_rejects_bad_shapes(self, graph):
         qs = queries(graph, 5)
-        with pytest.raises(ValueError, match="amplitude"):
-            diurnal_arrivals(qs, base_rate=10, amplitude=1.0)
-        with pytest.raises(ValueError, match="period"):
-            diurnal_arrivals(qs, base_rate=10, period=0)
-        with pytest.raises(ValueError, match="burst"):
-            flash_crowd_arrivals(qs, base_rate=10, burst_start=-1,
-                                 burst_duration=1)
-        with pytest.raises(ValueError, match="burst_multiplier"):
-            flash_crowd_arrivals(qs, base_rate=10, burst_start=0,
-                                 burst_duration=1, burst_multiplier=0.5)
         with pytest.raises(ValueError, match="start"):
             poisson_arrivals(qs, rate=10, start=-1.0)
 
@@ -100,28 +83,6 @@ class TestArrivalShapes:
         for s, f in zip(slow, fast, strict=True):
             assert s.at == pytest.approx(2.0 * f.at)
 
-    def test_diurnal_modulates_interarrival_density(self, graph):
-        qs = list(uniform_stream(graph, num_queries=400, hops=1, seed=3))
-        arrivals = list(diurnal_arrivals(
-            qs, base_rate=100.0, amplitude=0.8, period=4.0, seed=5,
-        ))
-        assert len(arrivals) == 400
-        # Peak half-periods (sin > 0) must be denser than trough halves.
-        peak = sum(
-            1 for a in arrivals if (a.at % 4.0) < 2.0
-        )
-        assert peak > len(arrivals) * 0.55
-
-    def test_flash_crowd_burst_is_denser(self, graph):
-        qs = list(uniform_stream(graph, num_queries=400, hops=1, seed=3))
-        arrivals = list(flash_crowd_arrivals(
-            qs, base_rate=50.0, burst_start=1.0, burst_duration=1.0,
-            burst_multiplier=10.0, seed=5,
-        ))
-        in_burst = sum(1 for a in arrivals if 1.0 <= a.at < 2.0)
-        before = sum(1 for a in arrivals if 0.0 <= a.at < 1.0)
-        assert in_burst > 3 * max(1, before)
-
     def test_merge_is_time_ordered_and_complete(self, graph):
         a = list(poisson_arrivals(queries(graph, 30, seed=3), rate=40.0,
                                   tenant="a", seed=1))
@@ -141,13 +102,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("factory", [
         lambda qs: poisson_arrivals(qs, rate=80.0, tenant="t", seed=9),
-        lambda qs: diurnal_arrivals(qs, base_rate=80.0, amplitude=0.6,
-                                    period=2.0, tenant="t", seed=9),
-        lambda qs: flash_crowd_arrivals(qs, base_rate=80.0, burst_start=0.2,
-                                        burst_duration=0.3,
-                                        burst_multiplier=6.0, tenant="t",
-                                        seed=9),
-    ], ids=["poisson", "diurnal", "flash_crowd"])
+    ], ids=["poisson"])
     def test_stream_replays_identically(self, graph, factory):
         def build():
             # Scoped ids so both replays mint the same query objects.
@@ -165,11 +120,10 @@ class TestDeterminism:
                                        skew=1.5, seed=3),
                         rate=100.0, tenant="interactive", seed=1,
                     ),
-                    diurnal_arrivals(
+                    poisson_arrivals(
                         hotspot_stream(graph, num_hotspots=4,
                                        queries_per_hotspot=5, seed=4),
-                        base_rate=40.0, amplitude=0.5, period=1.0,
-                        tenant="analytics", seed=2,
+                        rate=40.0, tenant="analytics", seed=2,
                     ),
                 ))
         assert build() == build()
@@ -190,11 +144,9 @@ class TestDeterminism:
                         uniform_stream(graph, num_queries=50, hops=1, seed=3),
                         rate=2000.0, tenant="a", seed=1,
                     ),
-                    flash_crowd_arrivals(
+                    poisson_arrivals(
                         uniform_stream(graph, num_queries=30, hops=2, seed=4),
-                        base_rate=1000.0, burst_start=0.005,
-                        burst_duration=0.005, burst_multiplier=4.0,
-                        tenant="b", seed=2,
+                        rate=3000.0, tenant="b", seed=2,
                     ),
                 ))
 

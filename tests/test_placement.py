@@ -57,6 +57,15 @@ INERT = PlacementConfig(
 # Heat tracking
 # ---------------------------------------------------------------------------
 
+class TestPlacementConfig:
+    @pytest.mark.parametrize("interval_s", [0.0, -1e-3])
+    def test_non_positive_interval_rejected(self, interval_s):
+        # A zero interval used to reschedule the planner at the same
+        # instant forever, so drain() never returned.
+        with pytest.raises(ValueError, match="interval_s"):
+            PlacementConfig(interval_s=interval_s)
+
+
 class TestHeatTracker:
     def test_half_life_decay(self):
         heat = HeatTracker(half_life_s=2.0, size=8)

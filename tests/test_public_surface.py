@@ -1,8 +1,8 @@
 """The public surface, pinned: every exported name and every config knob.
 
-Adding a name to a package ``__all__``, a field to ``ClusterConfig``, a
-parameter to ``AdaptiveRouting`` or a key to its ``snapshot()``
-fails here until the literal below grows by one line — which is the
+Adding a name to a package ``__all__``, a field to ``ClusterConfig`` or
+``AdmissionConfig``, a parameter to ``AdaptiveRouting`` or a key to its
+``snapshot()`` fails here until the literal below grows by one line — which is the
 point: a new name or knob should be a visible diff, and ROADMAP aim 2
 asks what it lets us delete.
 """
@@ -14,7 +14,7 @@ import repro
 import repro.core
 import repro.workloads
 from repro import ClusterConfig, GraphService, run_workload
-from repro.core import AdaptiveRouting
+from repro.core import AdaptiveRouting, AdmissionConfig
 from repro.graph import ring_of_cliques
 from repro.workloads import uniform_stream
 
@@ -43,9 +43,8 @@ default_registry gather_nodes query_class query_ids_from run_workload
 """
 
 WORKLOADS = """
-Arrival DEFAULT_MIX FULL_MIX churn_stream diurnal_arrivals
-flash_crowd_arrivals hotspot_stream interleave k_reach_stream
-merge_arrivals poisson_arrivals ppr_stream sample_stream
+Arrival DEFAULT_MIX FULL_MIX churn_stream hotspot_stream interleave
+k_reach_stream merge_arrivals poisson_arrivals ppr_stream sample_stream
 shifting_hotspot_stream uniform_stream zipfian_stream
 """
 
@@ -80,6 +79,11 @@ def test_workloads_exports():
 def test_cluster_config_fields():
     # In declaration order, so a moved field shows up as well as a new one.
     assert [f.name for f in fields(ClusterConfig)] == CONFIG_FIELDS.split()
+
+
+def test_admission_config_fields():
+    # The one knob the workloads set; the rest are module constants.
+    assert [f.name for f in fields(AdmissionConfig)] == ["tenant_queue_limit"]
 
 
 ADAPTIVE_SNAPSHOT = "mode auditions committed pulls miss_ratio_ewma"

@@ -52,6 +52,23 @@ class TestConfig:
         for action in CHAOS_ACTIONS:
             ChaosEvent(at=0.0, action=action, target=0)
 
+    @pytest.mark.parametrize("replication", [0, -1])
+    def test_replication_below_one_rejected(self, replication):
+        # Used to be clamped to one copy without a word.
+        with pytest.raises(ValueError, match="replication"):
+            TopologyConfig(replication=replication)
+
+    def test_negative_repair_interval_rejected(self):
+        # Used to kill the repair process on a negative timeout that
+        # nobody observed; queries then failed with an unrelated error.
+        with pytest.raises(ValueError, match="repair_interval_s"):
+            TopologyConfig(repair_interval_s=-1)
+
+    def test_negative_retry_limit_rejected(self):
+        # Used to behave as 0 (fail fast) without a word.
+        with pytest.raises(ValueError, match="retry_limit"):
+            TopologyConfig(retry_limit=-1)
+
     def test_no_topology_by_default(self, graph):
         with GraphService.open(graph, ClusterConfig(
             num_processors=2, num_storage_servers=2, routing="hash",
