@@ -134,12 +134,16 @@ class AdmissionStats:
 
 
 class _TenantState:
-    """One tenant's bounded FIFO and DRR deficit counter."""
+    """One tenant's bounded FIFO and DRR deficit counter.
+
+    The FIFO holds ``(query, DRR cost)`` pairs: the cost is classified once,
+    at offer, not on every pump visit to the head.
+    """
 
     __slots__ = ("queue", "deficit", "stats")
 
     def __init__(self) -> None:
-        self.queue: Deque[Query] = deque()
+        self.queue: Deque[Tuple[Query, float]] = deque()
         self.deficit = 0.0
         self.stats = TenantAdmissionStats()
 
@@ -265,7 +269,7 @@ class AdmissionController:
         if len(state.queue) >= self.config.tenant_queue_limit:
             state.stats.rejected += 1
             return REJECTED
-        state.queue.append(query)
+        state.queue.append((query, self._cost(query)))
         self._queued += 1
         state.stats.admitted += 1
         if len(state.queue) > state.stats.max_queue_depth:
@@ -301,10 +305,10 @@ class AdmissionController:
                     break
             state.deficit += quantum
             while state.queue and router.backlog() < depth:
-                cost = self._cost(state.queue[0])
+                query, cost = state.queue[0]
                 if state.deficit < cost:
                     break
-                query = state.queue.popleft()
+                state.queue.popleft()
                 self._queued -= 1
                 state.deficit -= cost
                 router.submit([query], tenant=name)

@@ -15,7 +15,15 @@ keys back as an array, with exactly one C-level ``tolist()`` conversion in
 between (plain ``int`` keys hash several times faster than numpy scalars).
 Per-policy probe loops are specialised so the LRU case is a dict-membership
 test plus a hoisted ``move_to_end`` per hit, with statistics updated once
-per batch rather than once per key.
+per batch rather than once per key. A one-key ndarray probe (every anchor
+and walk step) skips the conversions altogether: it is one membership
+test, and a miss hands back the input array itself.
+
+Admission mirrors the probe: under LRU and FIFO, ``put_many`` runs one
+loop over locals that admits and evicts exactly as per-key :meth:`put`
+calls would, in the same order, and writes ``_bytes`` and the statistics
+back once per batch. LFU keeps the per-key :meth:`put` (its heap push and
+compaction are per admission anyway).
 
 LFU keeps its classic lazy min-heap of ``(count, tick, key)`` snapshots,
 but the hot *hit* path never touches the heap: a hit only updates the
@@ -43,6 +51,8 @@ POLICIES = ("lru", "fifo", "lfu")
 #: (plus a small constant so tiny caches never bother).
 LFU_COMPACT_FACTOR = 3
 LFU_COMPACT_SLACK = 64
+
+_INT64 = np.dtype(np.int64)
 
 
 @dataclass
@@ -117,7 +127,8 @@ class ProcessorCache:
 
         An ``int64`` ndarray input returns an ``int64`` ndarray of misses
         (the gather hot path); any other iterable returns a list, matching
-        the input's key objects.
+        the input's key objects. A one-key ``int64`` array that misses is
+        returned as is, so callers must not write into the result.
 
         Probe semantics are **per distinct key**: a key repeated within one
         batch counts one hit or one miss (first occurrence) and appears at
@@ -130,6 +141,14 @@ class ProcessorCache:
         vectorised comparison.
         """
         array_in = isinstance(keys, np.ndarray)
+        if array_in and len(keys) == 1 and keys.dtype is _INT64:
+            key = keys.item(0)
+            if key in self._entries:
+                self.stats.hits += 1
+                self._touch(key)
+                return keys[:0]
+            self.stats.misses += 1
+            return keys
         if array_in:
             key_list = keys.tolist()
             n = len(key_list)
@@ -236,7 +255,6 @@ class ProcessorCache:
         Either ``put_many(keys_array, sizes_array)`` with two aligned
         ndarrays (the gather hot path), or ``put_many(iterable_of_pairs)``.
         """
-        put = self.put
         if sizes is not None:
             if not isinstance(items, np.ndarray) or not isinstance(
                 sizes, np.ndarray
@@ -251,8 +269,12 @@ class ProcessorCache:
                     f"put_many keys/sizes length mismatch: {len(items)} "
                     f"keys vs {len(sizes)} sizes"
                 )
-            for key, size in zip(items.tolist(), sizes.tolist(), strict=True):
-                put(key, size)
+            if len(items) == 1:
+                pairs: Iterable[Tuple[Hashable, int]] = (
+                    (items.item(0), sizes.item(0)),
+                )
+            else:
+                pairs = zip(items.tolist(), sizes.tolist(), strict=True)
         else:
             if isinstance(items, np.ndarray):
                 raise ValueError(
@@ -260,8 +282,42 @@ class ProcessorCache:
                     "either put_many(keys_array, sizes_array) with aligned "
                     "ndarrays or put_many(iterable_of_(key, size)_pairs)"
                 )
-            for key, size in items:
+            pairs = items
+        if self.policy == "lfu":
+            put = self.put
+            for key, size in pairs:
                 put(key, size)
+            return
+        # LRU / FIFO: per-key ``put`` semantics, inlined over locals.
+        entries = self._entries
+        evict = entries.popitem
+        capacity = self.capacity_bytes
+        used = self._bytes
+        inserted = evicted = rejected = 0
+        try:
+            for key, size in pairs:
+                if size < 0:
+                    raise ValueError("size must be >= 0")
+                if size > capacity or capacity == 0:
+                    rejected += 1
+                    continue
+                old = entries.pop(key, None)
+                if old is not None:
+                    used -= old[0]
+                while used + size > capacity and entries:
+                    used -= evict(last=False)[1][0]
+                    evicted += 1
+                entries[key] = (size, True)
+                used += size
+                inserted += 1
+        finally:
+            # Also on a mid-batch error: the keys before it stay admitted,
+            # as they would after the same per-key ``put`` calls.
+            self._bytes = used
+            stats = self.stats
+            stats.insertions += inserted
+            stats.evictions += evicted
+            stats.rejected += rejected
 
     # -- invalidation ------------------------------------------------------
     def invalidate_many(

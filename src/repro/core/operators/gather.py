@@ -141,22 +141,24 @@ def gather_nodes(processor: "QueryProcessor", nodes: np.ndarray,
     costs = processor.costs
     cache = processor.cache
     sizes = processor.assets.record_sizes
+    use_cache = processor.use_cache
+    num_nodes = len(nodes)
 
-    if processor.use_cache:
+    if use_cache:
         missed = cache.get_many(nodes)
-        lookup_time = costs.cache.lookup * len(nodes)
+        lookup_time = costs.cache.lookup * num_nodes
         if lookup_time > 0:
             yield env.timeout(lookup_time)
     else:
         missed = nodes
 
-    num_hits = len(nodes) - len(missed)
+    num_missed = len(missed)
     if count_in_stats:
-        stats.cache_hits += num_hits
-        stats.cache_misses += len(missed)
-        stats.nodes_touched += len(nodes)
+        stats.cache_hits += num_nodes - num_missed
+        stats.cache_misses += num_missed
+        stats.nodes_touched += num_nodes
 
-    if missed.size:
+    if num_missed:
         tier = processor.tier
         if tier.heat is not None:
             # Decayed access-frequency tracking for dynamic placement.
@@ -167,22 +169,22 @@ def gather_nodes(processor: "QueryProcessor", nodes: np.ndarray,
         # Directory exceptions, or None when there are none (pure hash
         # placement) — plain dict truthiness, this is the hot path.
         overlay = tier.directory.by_cache_key or None
-        if missed.size == 1:
+        if num_missed == 1:
             # Walk steps and point probes miss one record at a time; skip
             # the per-server grouping machinery for the single fetch.
-            node = missed[0]
+            node = missed.item(0)
             miss_sizes = sizes[node:node + 1]
             total_bytes = int(miss_sizes[0])
             sid = int(processor.owner_of[node])
             if overlay is not None:
-                entry = overlay.get(int(node))
+                entry = overlay.get(node)
                 if entry is not None:
                     sid = pick_read_replica(entry.replicas, tier.servers)
             if tier.on_read_failure is not None \
                     and not tier.servers[sid].alive:
                 # Demand repair: tell the topology layer which key this
                 # (about-to-fail) probe is blocked on.
-                tier.on_read_failure([int(node)])
+                tier.on_read_failure([node])
             fetches = [_ServerFetch(processor, sid, 1, total_bytes)]
         else:
             owners = processor.owner_of[missed]
@@ -210,9 +212,10 @@ def gather_nodes(processor: "QueryProcessor", nodes: np.ndarray,
                             missed[owners == sid].tolist()
                         )
             fetches = [
-                _ServerFetch(processor, int(sid), int(counts[sid]),
-                             int(byte_sums[sid]))
-                for sid in touched
+                _ServerFetch(processor, sid, count, int(nbytes))
+                for sid, count, nbytes in zip(
+                    touched.tolist(), counts[touched].tolist(),
+                    byte_sums[touched].tolist(), strict=True)
             ]
             total_bytes = int(byte_sums.sum())
         if count_in_stats:
@@ -229,8 +232,8 @@ def gather_nodes(processor: "QueryProcessor", nodes: np.ndarray,
         else:
             yield env.all_of(fetches)
 
-        if processor.use_cache:
+        if use_cache:
             cache.put_many(missed, miss_sizes)
-            insert_time = costs.cache.insert * len(missed)
+            insert_time = costs.cache.insert * num_missed
             if insert_time > 0:
                 yield env.timeout(insert_time)

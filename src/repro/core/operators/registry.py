@@ -75,6 +75,12 @@ class QueryOperator:
     routing_keys: Optional[Callable[[Query], Tuple[int, ...]]] = None
     workload_factory: Optional[WorkloadFactory] = None
 
+    def classify(self, query: Query) -> str:
+        """Cost class of ``query`` under this operator."""
+        if callable(self.cost_class):
+            return self.cost_class(query)
+        return self.cost_class
+
 
 class OperatorRegistry:
     """Name- and type-keyed registry of :class:`QueryOperator` entries."""
@@ -193,9 +199,7 @@ class OperatorRegistry:
         operator = self.for_query_type(type(query))
         if operator is None:
             return "point"
-        if callable(operator.cost_class):
-            return operator.cost_class(query)
-        return operator.cost_class
+        return operator.classify(query)
 
     def routing_keys(self, query: Query) -> Tuple[int, ...]:
         """Anchor node ids for routing; always non-empty.

@@ -33,13 +33,15 @@ def execute_random_walk(processor: "QueryProcessor", query: RandomWalkQuery):
 
     current = source
     path_length = 0
+    restart_prob = query.restart_prob
+    walk_cost = processor.costs.compute.per_walk_step
     yield from gather_nodes(
         processor, np.array([source], dtype=np.int64), stats,
         count_in_stats=False,
     )
     for _step in range(query.steps):
         row = csr.neighbors_of(current)
-        if row.size == 0 or rng.random() < query.restart_prob:
+        if row.size == 0 or rng.random() < restart_prob:
             current = source
         else:
             current = int(row[rng.integers(0, row.size)])
@@ -47,7 +49,6 @@ def execute_random_walk(processor: "QueryProcessor", query: RandomWalkQuery):
                 processor, np.array([current], dtype=np.int64), stats,
             )
         path_length += 1
-        walk_cost = processor.costs.compute.per_walk_step
         if walk_cost > 0:
             yield env.timeout(walk_cost)
 
@@ -76,6 +77,7 @@ def execute_ppr(processor: "QueryProcessor",
         count_in_stats=False,
     )
     visits: Dict[int, int] = {}
+    walk_cost = processor.costs.compute.per_walk_step
     for _walk in range(query.walks):
         current = source
         for _step in range(query.steps):
@@ -88,7 +90,6 @@ def execute_ppr(processor: "QueryProcessor",
                 yield from gather_nodes(
                     processor, np.array([current], dtype=np.int64), stats,
                 )
-            walk_cost = processor.costs.compute.per_walk_step
             if walk_cost > 0:
                 yield env.timeout(walk_cost)
 

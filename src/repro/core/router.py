@@ -6,6 +6,21 @@ after receiving the acknowledgement for the previous one, and lets an idle
 processor *steal* a queued query intended for another processor, so no
 processor idles while work remains. Queue lengths double as the load
 estimate in the load-balanced distances (Eq. 3/7).
+
+Hot-path design
+---------------
+
+Per query the router does O(1) bookkeeping plus what its consumers read.
+The load vector ``_loads`` (queued + in-flight per processor) is kept
+current at every queue or ``outstanding`` change — enqueue, each of the
+three dispatch sources (own queue, pool, steal), ack, requeue, removal
+and join — so :meth:`Router.loads` is one list copy, not a rebuild. The
+operator is resolved once, at submit, and its name and cost class ride
+on the pending entry to the ack. A :class:`RoutingFeedback` (with its
+loads tuple and the processor's hit rate) is built on an ack only when
+the strategy overrides :meth:`RoutingStrategy.on_feedback`; the check
+runs per ack, so a hook attached later (to an instance or to the base
+class) is honoured.
 """
 
 from __future__ import annotations
@@ -16,19 +31,21 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..sim import Environment, Event
 from .metrics import QueryRecord, QueryStats
-from .operators.registry import default_registry, operator_name
+from .operators.registry import default_registry
 from .processor import QueryProcessor
-from .queries import Query, query_class
+from .queries import Query
 from .routing.base import RoutingFeedback, RoutingStrategy
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingInfo:
     intended: Optional[int]
     decision_time: float
     enqueued_at: float
     routed_via: str
     tenant: str
+    operator: str
+    query_class: str
 
 
 class Router:
@@ -51,6 +68,8 @@ class Router:
         self.queues: List[Deque[Query]] = [deque() for _ in range(num)]
         self.pool: Deque[Query] = deque()
         self.outstanding: List[Optional[Tuple[Query, bool]]] = [None] * num
+        #: Queued + in-flight queries per processor, kept incrementally.
+        self._loads: List[int] = [0] * num
         self.records: List[QueryRecord] = []
         self.done: Event = env.event()
         self._pending: Dict[int, _PendingInfo] = {}
@@ -79,11 +98,11 @@ class Router:
         return len(self.processors)
 
     def loads(self) -> List[int]:
-        """Queued + in-flight queries per processor (the Eq. 3/7 load)."""
-        return [
-            len(queue) + (1 if busy is not None else 0)
-            for queue, busy in zip(self.queues, self.outstanding, strict=True)
-        ]
+        """Queued + in-flight queries per processor (the Eq. 3/7 load).
+
+        A copy: the caller may keep or mutate it.
+        """
+        return self._loads.copy()
 
     def backlog(self) -> int:
         """Submitted-but-incomplete queries across the cluster."""
@@ -149,6 +168,7 @@ class Router:
         # routed prefix twice.
         queries = list(queries)
         batch_ids = set()
+        operators = []
         for query in queries:
             if query.query_id in self._pending or query.query_id in batch_ids:
                 raise ValueError(
@@ -161,23 +181,29 @@ class Router:
             # operator catalog in the message — inside a processor they
             # would kill the worker process and surface as an opaque
             # simulation deadlock.
-            default_registry.for_query(query)
+            operators.append(default_registry.for_query(query))
         if self.done.triggered:
             self.done = self.env.event()
-        for query in queries:
-            self._submitted += 1
-            target = self.strategy.choose(query, self.loads())
-            self._pending[query.query_id] = _PendingInfo(
-                intended=target,
-                decision_time=self.strategy.decision_time(self.num_processors),
-                enqueued_at=self.env.now,
-                routed_via=self.strategy.decision_label(query),
-                tenant=tenant,
-            )
-            if target is not None and not 0 <= target < self.num_processors:
+        strategy = self.strategy
+        num = self.num_processors
+        for query, operator in zip(queries, operators):
+            target = strategy.choose(query, self._loads.copy())
+            # Refuse a bad target before any bookkeeping: a pending entry
+            # nothing will ever ack would keep ``done`` from firing.
+            if target is not None and not 0 <= target < num:
                 raise ValueError(
                     f"strategy chose invalid processor {target}"
                 )
+            self._submitted += 1
+            self._pending[query.query_id] = _PendingInfo(
+                intended=target,
+                decision_time=strategy.decision_time(num),
+                enqueued_at=self.env.now,
+                routed_via=strategy.decision_label(query),
+                tenant=tenant,
+                operator=operator.name,
+                query_class=operator.classify(query),
+            )
             if target is not None and not self.processors[target].alive:
                 # A drained/dead processor takes no new work; decoupling
                 # lets the shared pool serve it (the same redistribution
@@ -188,26 +214,35 @@ class Router:
             if target is None:
                 self.pool.append(query)
             else:
-                self.strategy.on_dispatch(query, target)
+                strategy.on_dispatch(query, target)
                 self.queues[target].append(query)
-        for processor_id in range(self.num_processors):
-            if self.outstanding[processor_id] is None:
+                self._loads[target] += 1
+        outstanding = self.outstanding
+        for processor_id in range(num):
+            if outstanding[processor_id] is None:
                 self._dispatch(processor_id)
 
     # -- dispatch & stealing ------------------------------------------------
     def _take_next(self, processor_id: int) -> Optional[Tuple[Query, bool]]:
+        """Next query for an idle processor; keeps ``_loads`` current."""
         own = self.queues[processor_id]
         if own:
+            # Queued -> in flight on the same processor: its load holds.
             return own.popleft(), False
         if self.pool:
+            self._loads[processor_id] += 1
             return self.pool.popleft(), False
         if self.steal:
-            victim = max(
-                (p for p in range(self.num_processors) if p != processor_id),
-                key=lambda p: len(self.queues[p]),
-                default=None,
-            )
-            if victim is not None and self.queues[victim]:
+            # The first deepest queue is the victim (own is empty here).
+            victim = None
+            deepest = 0
+            for other, queue in enumerate(self.queues):
+                if len(queue) > deepest:
+                    victim, deepest = other, len(queue)
+            if victim is not None:
+                loads = self._loads
+                loads[victim] -= 1
+                loads[processor_id] += 1
                 # Steal the most recently enqueued query: the victim keeps
                 # the head entries, which fit its cache best.
                 return self.queues[victim].pop(), True
@@ -220,9 +255,8 @@ class Router:
         item = self._take_next(processor_id)
         if item is None:
             return
-        query, stolen = item
-        self.outstanding[processor_id] = (query, stolen)
-        processor.inbox.put(query)
+        self.outstanding[processor_id] = item
+        processor.inbox.put(item[0])
 
     # -- completion ----------------------------------------------------------
     def on_ack(
@@ -239,6 +273,7 @@ class Router:
             raise RuntimeError("ack for a query that was not outstanding")
         _, stolen = entry
         self.outstanding[processor_id] = None
+        self._loads[processor_id] -= 1
         info = self._pending.pop(query.query_id)
         record = QueryRecord(
             query_id=query.query_id,
@@ -253,24 +288,29 @@ class Router:
             finished_at=finished,
             stats=stats,
             routed_via=info.routed_via,
-            query_class=query_class(query),
-            operator=operator_name(query),
+            query_class=info.query_class,
+            operator=info.operator,
             tenant=info.tenant,
         )
         self.records.append(record)
-        self.strategy.on_feedback(
-            RoutingFeedback(
-                query=query,
-                processor=processor_id,
-                response_time=record.response_time,
-                sojourn_time=record.sojourn_time,
-                stolen=stolen,
-                cache_hits=stats.cache_hits,
-                cache_misses=stats.cache_misses,
-                processor_hit_rate=self.processors[processor_id].cache_hit_rate(),
-                loads=tuple(self.loads()),
+        strategy = self.strategy
+        # Only a strategy that overrides the no-op hook reads feedback.
+        if getattr(strategy.on_feedback, "__func__", None) \
+                is not RoutingStrategy.on_feedback:
+            strategy.on_feedback(
+                RoutingFeedback(
+                    query=query,
+                    processor=processor_id,
+                    response_time=record.response_time,
+                    sojourn_time=record.sojourn_time,
+                    stolen=stolen,
+                    cache_hits=stats.cache_hits,
+                    cache_misses=stats.cache_misses,
+                    processor_hit_rate=(
+                        self.processors[processor_id].cache_hit_rate()),
+                    loads=tuple(self._loads),
+                )
             )
-        )
         self._completed += 1
         if self._backlog_waits:
             backlog = self.backlog()
@@ -297,6 +337,7 @@ class Router:
         if entry is None or entry[0].query_id != query.query_id:
             raise RuntimeError("requeue for a query that was not outstanding")
         self.outstanding[processor_id] = None
+        self._loads[processor_id] -= 1
         self.pool.appendleft(query)
         for other in range(self.num_processors):
             if self.outstanding[other] is None:
@@ -331,6 +372,7 @@ class Router:
         self.processors.append(processor)
         self.queues.append(deque())
         self.outstanding.append(None)
+        self._loads.append(0)
         processor.start(self)
         # A joiner is idle by construction: give it queued work now.
         self._dispatch(processor.processor_id)
@@ -362,6 +404,7 @@ class Router:
             )
         processor.alive = False
         moved = len(self.queues[processor_id])
+        self._loads[processor_id] -= moved
         while self.queues[processor_id]:
             self.pool.append(self.queues[processor_id].popleft())
         for other in range(self.num_processors):

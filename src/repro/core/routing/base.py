@@ -11,7 +11,9 @@ the load via the paper's load-balanced distance (Eq. 3 / Eq. 7):
 On every acknowledgement the router also pushes a :class:`RoutingFeedback`
 back into the strategy — measured response time, the executing processor's
 cache behaviour, and the queue depths at completion. Static strategies
-ignore it; adaptive strategies use it to re-rank their choices online.
+inherit the no-op :meth:`RoutingStrategy.on_feedback`, and the router
+builds no feedback for them; adaptive strategies override it to re-rank
+their choices online.
 """
 
 from __future__ import annotations

@@ -205,7 +205,13 @@ class CSRGraph:
         return self._gather(frontier)
 
     def _gather(self, frontier: np.ndarray) -> np.ndarray:
-        """All neighbors of every frontier node, concatenated (with dups)."""
+        """All neighbors of every frontier node, concatenated (with dups).
+
+        A one-node frontier (every expansion from a single anchor) gets
+        its row itself: a view of the pool, read-only like the pool.
+        """
+        if len(frontier) == 1:
+            return self.neighbors_of(frontier[0])
         starts = self._starts[frontier]
         counts = self._lengths[frontier]
         total = int(counts.sum())

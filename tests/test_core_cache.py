@@ -1,10 +1,12 @@
 """Processor cache tests: LRU/FIFO/LFU policies, capacity, statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import ProcessorCache
-from repro.core.cache import LFU_COMPACT_FACTOR, LFU_COMPACT_SLACK
+from repro.core.cache import LFU_COMPACT_FACTOR, LFU_COMPACT_SLACK, POLICIES
 
 
 class TestBasics:
@@ -407,3 +409,75 @@ class TestLruOrderProperty:
                 if old not in cache and old not in evicted:
                     evicted.append(old)
         assert evicted == [3, 1, 4, 0, 2]
+
+
+def _state(cache):
+    return (list(cache._entries.items()), cache.size_bytes,
+            dataclasses.astuple(cache.stats), dict(cache._freq))
+
+
+class TestBatchFastPaths:
+    """``put_many`` / size-1 ``get_many`` equal the per-key reference."""
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    @pytest.mark.parametrize("capacity", [0, 40, 150])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_put_many_matches_per_key_put(self, policy, capacity, seed):
+        rng = np.random.default_rng(seed)
+        batched = ProcessorCache(capacity, policy=policy)
+        per_key = ProcessorCache(capacity, policy=policy)
+        for round_ in range(60):
+            # Few distinct keys, so batches repeat keys and re-admit
+            # resident ones; sizes up to 2x capacity include oversized
+            # records.
+            n = int(rng.integers(1, 9))
+            keys = rng.integers(0, 12, n).astype(np.int64)
+            sizes = rng.integers(0, 2 * capacity + 2, n).astype(np.int64)
+            if round_ % 2:
+                batched.put_many(keys, sizes)
+            else:
+                batched.put_many(zip(keys.tolist(), sizes.tolist(),
+                                     strict=True))
+            for key, size in zip(keys.tolist(), sizes.tolist(), strict=True):
+                per_key.put(key, size)
+            assert _state(batched) == _state(per_key)
+            probe = rng.integers(0, 12, 3).astype(np.int64)
+            assert (batched.get_many(probe).tolist()
+                    == per_key.get_many(probe).tolist())
+        assert batched.stats.evictions or capacity < 40
+        assert batched.stats.rejected
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_put_many_error_keeps_the_admitted_prefix(self, policy):
+        batched = ProcessorCache(100, policy=policy)
+        per_key = ProcessorCache(100, policy=policy)
+        keys = np.array([1, 2, 3], dtype=np.int64)
+        sizes = np.array([10, -1, 10], dtype=np.int64)
+        with pytest.raises(ValueError, match="size must be >= 0"):
+            batched.put_many(keys, sizes)
+        with pytest.raises(ValueError, match="size must be >= 0"):
+            for key, size in zip(keys.tolist(), sizes.tolist(), strict=True):
+                per_key.put(key, size)
+        assert _state(batched) == _state(per_key)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_size_one_get_many_matches_general_path(self, policy, seed):
+        # A one-element list takes the general probe loop; a one-element
+        # int64 array takes the fast path.
+        rng = np.random.default_rng(seed)
+        fast = ProcessorCache(60, policy=policy)
+        general = ProcessorCache(60, policy=policy)
+        for _ in range(80):
+            key = int(rng.integers(0, 10))
+            missed_fast = fast.get_many(np.array([key], dtype=np.int64))
+            missed_general = general.get_many([key])
+            assert isinstance(missed_fast, np.ndarray)
+            assert missed_fast.dtype == np.int64
+            assert missed_fast.tolist() == missed_general
+            if missed_general:
+                size = int(rng.integers(5, 25))
+                fast.put_many(missed_fast, np.array([size], dtype=np.int64))
+                general.put(key, size)
+            assert _state(fast) == _state(general)
+        assert fast.stats.hits and fast.stats.misses

@@ -1,9 +1,13 @@
 """Router mechanics: ack-driven dispatch, queues, stealing, fault drain."""
 
+import random
+
 import pytest
 
 from repro import ClusterConfig, GraphAssets, GraphService
 from repro.core import NeighborAggregationQuery
+from repro.core import router as router_module
+from repro.core.routing import AdaptiveRouting, HashRouting
 from repro.graph import ring_of_cliques
 
 
@@ -120,6 +124,102 @@ class TestLoadTracking:
         cluster.strategy.num_processors = 99  # corrupt deliberately
         with pytest.raises(ValueError):
             cluster.router.submit(_queries([97]))
+
+    def test_refused_target_leaves_no_phantom_pending(self, graph, assets):
+        # A refused target must leave no pending entry behind: one that
+        # nothing ever acks keeps ``done`` from firing, and the next run
+        # to ``done`` runs out of events.
+        cluster = _cluster(graph, assets, routing="hash", processors=2)
+        router = cluster.router
+        cluster.strategy.choose = lambda _query, _loads: 99
+        with pytest.raises(ValueError, match="invalid processor 99"):
+            router.submit(_queries([3]))
+        assert router.backlog() == 0
+        del cluster.strategy.choose
+        router.submit(_queries([4]))
+        cluster.env.run(until=router.done)
+        assert [r.node for r in router.records] == [4]
+        assert router.backlog() == 0
+
+    def test_loads_stay_correct_under_random_interleavings(self, graph,
+                                                            assets):
+        # The load vector is maintained incrementally; after every step
+        # (and after every ack, via a completion callback) it must equal
+        # the vector rebuilt from the queues and the outstanding slots,
+        # and the list handed out must be a copy.
+        rng = random.Random(2024)
+        cluster = _cluster(graph, assets, routing="hash", processors=4)
+        router = cluster.router
+        env = cluster.env
+        requeues = []
+        on_requeue = router.on_requeue
+
+        def counting_requeue(processor_id, query):
+            requeues.append(query.query_id)
+            on_requeue(processor_id, query)
+
+        router.on_requeue = counting_requeue
+
+        def check():
+            expected = [
+                len(queue) + (busy is not None)
+                for queue, busy in zip(router.queues, router.outstanding,
+                                       strict=True)
+            ]
+            handed_out = router.loads()
+            assert handed_out == expected
+            handed_out[0] += 5
+            handed_out.append(1)
+            assert router.loads() == expected
+
+        router.add_completion_callback(check)
+        nodes = sorted(graph.nodes())
+        submitted = 0
+
+        def submit(batch):
+            nonlocal submitted
+            router.submit(_queries(batch, hops=rng.choice([1, 2])))
+            submitted += len(batch)
+            check()
+
+        def run_a_little():
+            env.run(until=env.now + rng.uniform(1e-6, 4e-5))
+            check()
+
+        for step in range(40):
+            if step == 12:
+                # Kill an idle processor right after a query was put in
+                # its inbox: the worker hands it back via ``on_requeue``.
+                env.run(until=router.done)
+                check()
+                submit([n for n in nodes if n % 4 == 1][:3])
+                cluster.processors[1].kill()
+                run_a_little()
+            elif step == 20:
+                router.remove_processor(2)
+                check()
+            elif step == 28:
+                pid = router.num_processors
+                joiner = cluster.build_processor(pid)
+                cluster.processors.append(joiner)
+                router.add_processor(joiner)
+                cluster.strategy.on_membership_change(
+                    router.num_processors, router.alive_mask())
+                check()
+            elif rng.random() < 0.4:
+                # Every node of one hash class: one deep queue to steal from.
+                owner = rng.randrange(4)
+                submit([n for n in nodes if n % 4 == owner][:10])
+            elif rng.random() < 0.5:
+                submit(rng.sample(nodes, rng.randint(1, 6)))
+            else:
+                run_a_little()
+        env.run(until=router.done)
+        check()
+        assert len(router.records) == submitted
+        assert requeues
+        assert any(record.stolen for record in router.records)
+        assert router.loads() == [0] * router.num_processors
 
 
 class TestEdgeCases:
@@ -254,6 +354,83 @@ class TestRoutingFeedback:
             assert fb.sojourn_time > 0
             assert len(fb.loads) == 2
             assert 0.0 <= fb.processor_hit_rate <= 1.0
+
+    @pytest.fixture
+    def feedback_count(self, monkeypatch):
+        built = []
+        real = router_module.RoutingFeedback
+
+        def counting(**fields):
+            feedback = real(**fields)
+            built.append(feedback)
+            return feedback
+
+        monkeypatch.setattr(router_module, "RoutingFeedback", counting)
+        return built
+
+    @pytest.mark.parametrize("routing", ["hash", "next_ready", "landmark",
+                                         "embed"])
+    def test_static_strategies_get_no_feedback_built(
+            self, graph, assets, feedback_count, routing):
+        cluster = _cluster(graph, assets, routing=routing, processors=3,
+                           embed_method="lmds", num_landmarks=8,
+                           min_separation=2)
+        report = _run(cluster, _queries(range(12)))
+        assert len(report.records) == 12
+        assert feedback_count == []
+
+    def test_adaptive_gets_one_feedback_per_ack(self, graph, assets,
+                                                feedback_count, monkeypatch):
+        delivered = []
+        on_feedback = AdaptiveRouting.on_feedback
+
+        def recording(strategy, feedback):
+            delivered.append(feedback)
+            on_feedback(strategy, feedback)
+
+        monkeypatch.setattr(AdaptiveRouting, "on_feedback", recording)
+        cluster = _cluster(graph, assets, routing="adaptive", processors=3,
+                           embed_method="lmds", num_landmarks=8,
+                           min_separation=2)
+        report = _run(cluster, _queries(range(12)))
+        assert len(feedback_count) == len(report.records) == 12
+        assert delivered == feedback_count
+        self._assert_fields(cluster, report, delivered)
+
+    def test_overriding_subclass_gets_one_feedback_per_ack(
+            self, graph, assets, feedback_count):
+        cluster = _cluster(graph, assets, routing="hash", processors=2)
+        delivered = []
+
+        class Listening(HashRouting):
+            def on_feedback(self, feedback):
+                delivered.append(feedback)
+
+        # The service builds its own hash strategy; re-class it in place.
+        cluster.strategy.__class__ = Listening
+        report = _run(cluster, _queries(range(9)))
+        assert len(feedback_count) == len(report.records) == 9
+        assert delivered == feedback_count
+        self._assert_fields(cluster, report, delivered)
+
+    @staticmethod
+    def _assert_fields(cluster, report, delivered):
+        # The fields the ack used to fill unconditionally: per query, the
+        # record's times, its cache counts, and the loads at completion.
+        by_id = {record.query_id: record for record in report.records}
+        num = cluster.router.num_processors
+        for feedback in delivered:
+            record = by_id[feedback.query.query_id]
+            assert feedback.processor == record.processor
+            assert feedback.response_time == record.response_time
+            assert feedback.sojourn_time == record.sojourn_time
+            assert feedback.stolen == record.stolen
+            assert feedback.cache_hits == record.stats.cache_hits
+            assert feedback.cache_misses == record.stats.cache_misses
+            assert 0.0 <= feedback.processor_hit_rate <= 1.0
+            assert len(feedback.loads) == num
+            # The acked query has left its processor's slot.
+            assert sum(feedback.loads) < len(report.records)
 
     def test_records_carry_routing_labels(self, graph, assets):
         cluster = _cluster(graph, assets, routing="hash", processors=2)

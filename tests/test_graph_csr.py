@@ -300,6 +300,21 @@ class TestVersions:
         assert newer.degrees_of(np.array([2, 0])).tolist() == [1, 2]
         assert newer.gather_neighbors(np.array([2, 0])).tolist() == [0, 1, 2]
 
+    def test_one_node_frontier_gathers_its_row(self, path):
+        # The one-node branch returns the row itself; it must agree with
+        # the multi-slice gather, empty rows included, on every version.
+        newer = path.with_updated_rows({0: [1, 2], 2: [0]})
+        for csr in (path, newer):
+            for node in range(csr.num_nodes):
+                one = csr.gather_neighbors(np.array([node], dtype=np.int64))
+                pair = csr.gather_neighbors(np.array([node, node]))
+                assert one.dtype == np.int64
+                assert one.tolist() == csr.neighbors_of(node).tolist()
+                assert pair.tolist() == 2 * one.tolist()
+        # The row is a view of the shared pool: it must not be writable.
+        with pytest.raises(ValueError, match="read-only"):
+            path.gather_neighbors(np.array([0]))[0] = 2
+
     def test_appended_nodes_get_empty_rows_unless_named(self, path):
         node_ids = np.append(path.node_ids, [7, 9])
         newer = path.with_updated_rows({3: [0]}, node_ids=node_ids)
