@@ -9,10 +9,13 @@ configuration. All artifacts are read-only from the cluster's perspective.
 Live graph updates (see :mod:`repro.core.updates`) are the one sanctioned
 mutation path: :meth:`GraphAssets.apply_graph_updates` appends new nodes
 at the *end* of the compact index space (so cache keys, record-size rows
-and owner entries for existing nodes never move), re-sizes dirty records,
-and derives the next version of each CSR view from the dirty adjacency
-rows alone — O(dirty), never O(edges); a query that captured a view
-before the update keeps reading the version it captured. The
+and owner entries for existing nodes never move) and re-sizes dirty
+records. CSR views are versioned and derived on read: a batch only adds
+its dirty rows to each materialised view's pending set, and the next
+read of ``csr_both`` / ``csr_out`` / ``csr_in`` derives one new version
+from the union of those rows — O(dirty), never O(edges), and one
+derivation however many batches landed since the last read. A query
+that captured a view keeps reading the version it captured. The
 memoized landmark/embedding artifacts are deliberately **not** refreshed
 here — they are preprocessing snapshots, and keeping them stale (with
 incremental refresh layered on top by the update manager) is exactly the
@@ -21,7 +24,7 @@ regime the paper's Fig 10 studies.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -34,7 +37,16 @@ from ..storage.records import record_size
 
 
 class GraphAssets:
-    """Memoized analysis-side artifacts for one graph."""
+    """Memoized analysis-side artifacts for one graph.
+
+    ``csr_both`` is built eagerly, ``csr_out`` / ``csr_in`` on first
+    read. After live updates a materialised view is brought up to date
+    when it is read, not when the batch lands: its rows come from the
+    authoritative graph at that instant, so a version folded over k
+    batches equals applying them one by one. ``node_ids``, ``compact``,
+    the owner arrays and ``record_sizes`` stay eager — the write path
+    reads them right after each batch.
+    """
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
@@ -42,9 +54,11 @@ class GraphAssets:
         #: The one ``{node id: compact index}`` map: append-only, and
         #: shared by reference with every CSR view.
         self.compact = {n: i for i, n in enumerate(self.node_ids.tolist())}
-        self.csr_both = self._build_csr("both")
-        self._csr_out: Optional[CSRGraph] = None
-        self._csr_in: Optional[CSRGraph] = None
+        #: Current version of each materialised CSR view, by direction.
+        self._views: Dict[str, CSRGraph] = {"both": self._build_csr("both")}
+        #: Per materialised view: node ids whose rows changed since its
+        #: current version (derived into the next one on read).
+        self._pending_rows: Dict[str, Set[int]] = {"both": set()}
         self._record_sizes: Optional[np.ndarray] = None
         self._owners: Dict[int, np.ndarray] = {}
         self._landmark_distances: Dict[Tuple[int, int], LandmarkDistances] = {}
@@ -59,21 +73,37 @@ class GraphAssets:
             self.graph, direction, node_ids=self.node_ids, index=self.compact
         )
 
+    def _view(self, direction: str) -> CSRGraph:
+        pending = self._pending_rows.get(direction)
+        if pending is None:
+            # Built lazily: the build sees the updated graph and order.
+            self._views[direction] = self._build_csr(direction)
+            self._pending_rows[direction] = set()
+        elif pending:
+            self._views[direction] = self._next_csr(
+                self._views[direction], direction, sorted(pending)
+            )
+            pending.clear()
+        return self._views[direction]
+
+    @property
+    def csr_both(self) -> CSRGraph:
+        """Bi-directed view (the preprocessing and most executors)."""
+        return self._view("both")
+
     @property
     def csr_out(self) -> CSRGraph:
-        if self._csr_out is None:
-            self._csr_out = self._build_csr("out")
-        return self._csr_out
+        """Successor rows (forward reachability)."""
+        return self._view("out")
 
     @property
     def csr_in(self) -> CSRGraph:
-        if self._csr_in is None:
-            self._csr_in = self._build_csr("in")
-        return self._csr_in
+        """Predecessor rows (backward reachability)."""
+        return self._view("in")
 
     @property
     def num_nodes(self) -> int:
-        return self.csr_both.num_nodes
+        return len(self.node_ids)
 
     # -- storage-side metadata ---------------------------------------------
     @property
@@ -127,18 +157,15 @@ class GraphAssets:
 
     # -- live graph updates --------------------------------------------------
     def _next_csr(
-        self, csr: CSRGraph, direction: str, touched: list
+        self, csr: CSRGraph, direction: str, touched: List[int]
     ) -> CSRGraph:
-        graph, compact = self.graph, self.compact
-        if direction == "out":
-            adjacency = graph.out_neighbors
-        elif direction == "in":
-            adjacency = graph.in_neighbors
-        else:
-            adjacency = graph.neighbors
+        compact = self.compact
         rows = {
-            compact[node]: [compact[v] for v in adjacency(node)]
-            for node in touched
+            compact[node]: [compact[v] for v in row]
+            for node, row in zip(
+                touched, self.graph.adjacency_rows(touched, direction),
+                strict=True,
+            )
         }
         return csr.with_updated_rows(rows, node_ids=self.node_ids)
 
@@ -182,13 +209,9 @@ class GraphAssets:
             sizes = self._record_sizes
             for node in touched:
                 sizes[self.compact[node]] = record_size(self.graph, node)
-        # Materialised CSR views move to their next version; lazily-built
-        # ones stay lazy (their build sees the updated graph and order).
-        self.csr_both = self._next_csr(self.csr_both, "both", touched)
-        if self._csr_out is not None:
-            self._csr_out = self._next_csr(self._csr_out, "out", touched)
-        if self._csr_in is not None:
-            self._csr_in = self._next_csr(self._csr_in, "in", touched)
+        # Materialised CSR views derive their next version on read.
+        for pending in self._pending_rows.values():
+            pending.update(touched)
         return np.array(
             sorted(self.compact[node] for node in dirty_ids), dtype=np.int64
         )

@@ -157,6 +157,12 @@ class ClusterTopology:
         #: outage.
         self._demand: Dict[int, bool] = {}
         self.demand_repairs = 0
+        #: Lost-key scan state, kept across rounds (see :meth:`_lost_scan`).
+        self._lost_alive: Optional[List[bool]] = None
+        self._lost: List[int] = []
+        self._lost_scanned = 0
+        self._lost_cursor = 0
+        self._lost_drops = 0
         self._repair_process = None
         #: The tier's directory: the one source of truth for "where does
         #: a key live right now", shared with dynamic placement.
@@ -309,13 +315,29 @@ class ClusterTopology:
     def _repair_round(self):
         """One bounded round: prune dead replicas, plan what to re-write
         within the byte budget, run the moves through the tier's record
-        mover. Returns whether any work was done or remains to do now."""
+        mover. Returns whether any work was done or remains to do now.
+
+        Five passes, in priority order: suspect update casualties,
+        fail-backs, demand repairs, directory entries holding a dead
+        replica, then records hash-homed on a dead server with no entry.
+        A round visits only what can still need work, so its host cost
+        follows what it admits rather than how much the outage has
+        already repaired: fail-back candidates whose home is alive (or
+        whose entry vanished), the directory entries listing a dead
+        server (:meth:`PlacementDirectory.holding`, in directory order),
+        and the lost-key scan resumed from the first index a previous
+        round found uncovered (:meth:`_lost_scan`). Each skipped visit is
+        one the full sweep made without effect, so the plans — which
+        records, in which order, with which ``admit`` outcomes — are
+        those of a full sweep.
+        """
         tier = self.tier
         directory = self.directory
         alive = [server.alive for server in tier.servers]
         live_sids = [sid for sid, up in enumerate(alive) if up]
         if not live_sids:
             return False  # nowhere to write; recover_server restarts us
+        dead_sids = [sid for sid, up in enumerate(alive) if not up]
         assets = self.service.assets
         sizes = assets.record_sizes
         node_ids = assets.node_ids
@@ -356,11 +378,20 @@ class ClusterTopology:
                 UNCHANGED,
             ))
 
-        # 1. Fail back repair-placed keys whose hash home returned.
-        for key in sorted(self._failover_keys):
-            entry = directory.by_key.get(key)
+        # 1. Fail back repair-placed keys whose hash home returned. An
+        # entry's home is always its key's hash owner, which is the home
+        # recorded here: a key whose home is down and whose entry stands
+        # would be skipped below, so it is not visited.
+        by_key = directory.by_key
+        failover_keys = self._failover_keys
+        candidates = sorted([
+            key for key, home in failover_keys.items()
+            if alive[home] or key not in by_key
+        ])
+        for key in candidates:
+            entry = by_key.get(key)
             if entry is None:
-                del self._failover_keys[key]  # released elsewhere meanwhile
+                del failover_keys[key]  # released elsewhere meanwhile
                 continue
             if not alive[entry.home]:
                 continue
@@ -383,7 +414,7 @@ class ClusterTopology:
                 del self._demand[idx]  # node vanished from the asset map
                 continue
             key = int(node_ids[idx])
-            entry = directory.by_key.get(key)
+            entry = by_key.get(key)
             if entry is not None:
                 if any(alive[sid] for sid in entry.replicas):
                     del self._demand[idx]  # a live replica surfaced
@@ -406,10 +437,12 @@ class ClusterTopology:
             planned_keys.add(key)
             self.demand_repairs += 1
 
-        # 3. Directory entries: prune dead replicas; fully-lost entries
-        # get fresh copies (placement-made entries stay placement-owned
-        # afterwards — only their liveness is restored here).
-        for entry in directory.entries():
+        # 3. Directory entries holding a dead replica: prune the dead
+        # replicas; fully-lost entries get fresh copies (placement-made
+        # entries stay placement-owned afterwards — only their liveness
+        # is restored here). An entry whose replicas all live needs
+        # nothing, so only the entries listing a dead server are visited.
+        for entry in directory.holding(dead_sids):
             if any(alive[sid] for sid in entry.replicas):
                 for sid in entry.replicas:
                     if not alive[sid]:
@@ -430,12 +463,17 @@ class ClusterTopology:
         # 4. Hash-homed records on dead servers with no directory entry:
         # every copy is lost; re-write onto substitutes. Ascending compact
         # index — deterministic, and the budget bounds each round.
-        alive_arr = np.asarray(alive, dtype=bool)
-        if not alive_arr.all():
-            covered = directory.by_key
-            for idx in np.flatnonzero(~alive_arr[owner_of]).tolist():
+        if dead_sids:
+            lost, start = self._lost_scan(alive, owner_of)
+            uncovered = len(lost)
+            for pos in range(start, len(lost)):
+                idx = lost[pos]
                 key = int(node_ids[idx])
-                if key in covered or key in planned_keys:
+                if key in by_key:
+                    continue
+                if uncovered > pos:
+                    uncovered = pos
+                if key in planned_keys:
                     continue
                 size = int(sizes[idx])
                 if not admit(size * copies):
@@ -445,6 +483,7 @@ class ClusterTopology:
                     "repair", key, idx, int(owner_of[idx]), size,
                     targets, targets,
                 ))
+            self._lost_cursor = uncovered
 
         if not plan and not failbacks and not rewrites:
             return bool(self._suspect_writes)
@@ -465,6 +504,35 @@ class ClusterTopology:
                     # may have resized it in place since it was planned.
                     self._note_landed(move, int(sizes[move.cache_key]))
         return True
+
+    def _lost_scan(
+        self, alive: List[bool], owner_of: np.ndarray
+    ) -> Tuple[List[int], int]:
+        """The compact indices hash-homed on a dead server (ascending) and
+        the position the lost-key pass resumes from.
+
+        Every index before that position had a directory entry when the
+        last round looked, and only a dropped entry uncovers one again,
+        so those are skipped until the directory drops an entry or the
+        alive set changes (both restart the scan from the first index).
+        Nodes appended by live updates extend the list: their indices
+        exceed every listed one.
+        """
+        if self._lost_alive != alive:
+            self._lost_alive = alive
+            self._lost = []
+            self._lost_scanned = 0
+            self._lost_cursor = 0
+        drops = self.directory.drops
+        if self._lost_drops != drops:
+            self._lost_drops = drops
+            self._lost_cursor = 0
+        scanned = self._lost_scanned
+        if owner_of.shape[0] > scanned:
+            on_dead = ~np.asarray(alive, dtype=bool)[owner_of[scanned:]]
+            self._lost.extend((np.flatnonzero(on_dead) + scanned).tolist())
+            self._lost_scanned = owner_of.shape[0]
+        return self._lost, self._lost_cursor
 
     def _note_landed(self, move: Move, size: int) -> None:
         """Book one repair move whose fresh bytes all landed."""

@@ -11,6 +11,7 @@ offline analysis accelerator.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -85,12 +86,22 @@ class CSRGraph:
         * ``"both"`` — the bi-directed view (deduplicated), which is what
           the paper's landmark and embedding preprocessing uses (§3.4.1).
 
+        Row ``i`` lists the neighbors of ``node_ids[i]`` in the order
+        :meth:`Graph.out_neighbors` / :meth:`~Graph.in_neighbors` /
+        :meth:`~Graph.neighbors` yields them, as compact indices.
+
         ``node_ids`` fixes the compact ordering instead of the default
         sorted order — live graph updates append new nodes at the end so
         compact indices (cache keys, record-size rows) stay stable.
         ``index`` is the caller's ``{node id: compact index}`` map for
         that ordering; it is held by reference, so several views can
         share one append-only map.
+
+        One bulk pass: the row dicts come from
+        :meth:`Graph.adjacency_rows`, the lengths and the flattened
+        neighbor ids from two ``fromiter`` sweeps, and the ids become
+        compact indices through one ``searchsorted`` against the sorted
+        ``node_ids`` — any int ids, any ``node_ids`` order.
         """
         if direction not in ("out", "in", "both"):
             raise ValueError(f"bad direction: {direction!r}")
@@ -101,23 +112,23 @@ class CSRGraph:
                 f"node_ids has {len(node_ids)} entries for a graph of "
                 f"{graph.num_nodes} nodes"
             )
+        ids = node_ids.tolist()
         if index is None:
-            index = {nid: i for i, nid in enumerate(node_ids.tolist())}
-        lengths = np.zeros(len(node_ids), dtype=np.int64)
-        flat: List[int] = []
-        for i, node in enumerate(node_ids.tolist()):
-            if direction == "out":
-                adj: Iterable[int] = graph.out_neighbors(node)
-            elif direction == "in":
-                adj = graph.in_neighbors(node)
-            else:
-                adj = graph.neighbors(node)
-            before = len(flat)
-            flat.extend([index[v] for v in adj])
-            lengths[i] = len(flat) - before
-        pool = _Pool(np.array(flat, dtype=np.int64), len(flat))
+            index = {nid: i for i, nid in enumerate(ids)}
+        rows = graph.adjacency_rows(ids, direction)
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        total = int(lengths.sum())
+        neighbors = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=total
+        )
+        order = np.argsort(node_ids, kind="stable")
+        rank = np.searchsorted(node_ids, neighbors, sorter=order)
+        flat = order[np.minimum(rank, max(len(ids) - 1, 0))]
+        if total and not np.array_equal(node_ids[flat], neighbors):
+            raise ValueError("node_ids does not list every node of the graph")
+        pool = _Pool(flat.astype(np.int64, copy=False), total)
         starts = np.cumsum(lengths) - lengths
-        return cls(starts, lengths, pool, node_ids, index, len(flat))
+        return cls(starts, lengths, pool, node_ids, index, total)
 
     def with_updated_rows(
         self,

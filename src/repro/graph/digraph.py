@@ -10,7 +10,9 @@ by the smart-routing preprocessing (§3.4).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple, ValuesView
+from typing import (
+    Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple, ValuesView,
+)
 
 NodeId = int
 Label = Optional[Hashable]
@@ -146,6 +148,31 @@ class Graph:
             if pred not in out:
                 yield pred
 
+    def adjacency_rows(
+        self, nodes: Iterable[NodeId], direction: str
+    ) -> List[Mapping[NodeId, Label]]:
+        """Each node's adjacency row, keyed by neighbor, for bulk readers.
+
+        The keys of row ``i`` are :meth:`out_neighbors`,
+        :meth:`in_neighbors` or :meth:`neighbors` of ``nodes[i]`` for
+        ``direction`` ``"out"``, ``"in"`` or ``"both"``, in that order.
+        ``"out"`` / ``"in"`` rows are the graph's own dicts (read them,
+        never write them); a ``"both"`` row is a fresh merge whose values
+        are not edge labels. One dict lookup per node, no per-neighbor
+        Python call: the CSR builders read whole graphs through this.
+        """
+        try:
+            if direction == "out":
+                return list(map(self._out.__getitem__, nodes))
+            if direction == "in":
+                return list(map(self._in.__getitem__, nodes))
+            if direction == "both":
+                out, into = self._out, self._in
+                return [out[node] | into[node] for node in nodes]
+        except KeyError as missing:
+            raise GraphError(f"no such node: {missing.args[0]}") from None
+        raise ValueError(f"bad direction: {direction!r}")
+
     def out_degree(self, node: NodeId) -> int:
         self._require(node)
         return len(self._out[node])
@@ -161,12 +188,29 @@ class Graph:
 
     # -- whole-graph operations ------------------------------------------------
     def copy(self) -> "Graph":
+        """An independent copy: same nodes, edges and labels.
+
+        Node order and every out-adjacency order are kept. In-adjacency
+        is rebuilt from the out rows, in out order, so a node whose
+        predecessors arrived in another order lists them differently
+        than the original (and so does its bi-directed
+        :meth:`neighbors` row). Simulations run on copies, so this order
+        is part of their output; ``tests/test_graph_digraph.py`` pins it.
+        """
         clone = Graph()
-        for node in self._out:
-            clone.add_node(node, self._node_labels.get(node))
+        clone._out = {node: dict(succs) for node, succs in self._out.items()}
+        into: Dict[NodeId, Dict[NodeId, Label]] = {node: {} for node in self._out}
         for u, succs in self._out.items():
             for v, label in succs.items():
-                clone.add_edge(u, v, label)
+                into[v][u] = label
+        clone._in = into
+        labels = self._node_labels
+        if labels:
+            clone._node_labels = {
+                node: labels[node] for node in self._out
+                if labels.get(node) is not None
+            }
+        clone._num_edges = self._num_edges
         return clone
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "Graph":

@@ -136,14 +136,17 @@ class Placement:
     replica set; a migrated record's set does not contain its home.
     """
 
-    __slots__ = ("key", "cache_key", "home", "replicas")
+    __slots__ = ("key", "cache_key", "home", "replicas", "seq")
 
     def __init__(self, key: int, cache_key: int, home: int,
-                 replicas: Tuple[int, ...]) -> None:
+                 replicas: Tuple[int, ...], seq: int) -> None:
         self.key = key
         self.cache_key = cache_key
         self.home = home
         self.replicas = replicas
+        #: Insertion rank in the directory: entries sort by it into
+        #: :meth:`PlacementDirectory.entries` order.
+        self.seq = seq
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Placement(key={self.key}, cache_key={self.cache_key}, "
@@ -159,6 +162,9 @@ class PlacementDirectory:
     pre-placement code paths (the parity regression tests pin this).
     Mutations (``place`` / ``drop`` / ``drop_replica``) happen at the
     simulated instant the corresponding copies landed or were lost.
+    A per-server index answers "which entries list a replica on these
+    servers" (:meth:`holding`) in time proportional to the answer, so a
+    repair round need not sweep the whole directory.
     """
 
     def __init__(self) -> None:
@@ -168,6 +174,19 @@ class PlacementDirectory:
         self.by_cache_key: Dict[int, Placement] = {}
         #: Monotonic edit counter (diagnostics; bumped on every mutation).
         self.version = 0
+        #: Entries dropped so far (a dropped key is back on its hash home).
+        self.drops = 0
+        #: server id -> {key: Placement} of the entries listing that server.
+        self._on_server: Dict[int, Dict[int, Placement]] = {}
+        self._next_seq = 0
+
+    def _index(self, entry: Placement, sids: Iterable[int]) -> None:
+        for sid in sids:
+            self._on_server.setdefault(sid, {})[entry.key] = entry
+
+    def _unindex(self, entry: Placement, sids: Iterable[int]) -> None:
+        for sid in sids:
+            del self._on_server[sid][entry.key]
 
     def __len__(self) -> int:
         return len(self.by_key)
@@ -177,6 +196,14 @@ class PlacementDirectory:
 
     def entries(self) -> List[Placement]:
         return list(self.by_key.values())
+
+    def holding(self, server_ids: Iterable[int]) -> List[Placement]:
+        """Entries with a replica on any of ``server_ids``, in
+        :meth:`entries` order."""
+        found: Dict[int, Placement] = {}
+        for sid in server_ids:
+            found.update(self._on_server.get(sid, {}))
+        return sorted(found.values(), key=lambda entry: entry.seq)
 
     def get(self, key: int) -> Optional[Placement]:
         return self.by_key.get(key)
@@ -196,10 +223,15 @@ class PlacementDirectory:
         entry = self.by_key.get(key)
         if entry is None:
             entry = Placement(int(key), int(cache_key), int(home),
-                              replica_tuple)
+                              replica_tuple, self._next_seq)
+            self._next_seq += 1
             self.by_key[int(key)] = entry
             self.by_cache_key[int(cache_key)] = entry
+            self._index(entry, replica_tuple)
         else:
+            old = entry.replicas
+            self._unindex(entry, [sid for sid in old if sid not in replica_tuple])
+            self._index(entry, [sid for sid in replica_tuple if sid not in old])
             entry.replicas = replica_tuple
         self.version += 1
         return entry
@@ -209,7 +241,9 @@ class PlacementDirectory:
         entry = self.by_key.pop(key, None)
         if entry is not None:
             self.by_cache_key.pop(entry.cache_key, None)
+            self._unindex(entry, entry.replicas)
             self.version += 1
+            self.drops += 1
         return entry
 
     def drop_replica(self, key: int, server_id: int) -> bool:
@@ -226,6 +260,7 @@ class PlacementDirectory:
         remaining = tuple(s for s in entry.replicas if s != server_id)
         if not remaining:
             return False
+        self._unindex(entry, (server_id,))
         entry.replicas = remaining
         self.version += 1
         return True

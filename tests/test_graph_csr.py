@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.graph import (
     CSRGraph,
     Graph,
+    GraphError,
     barabasi_albert,
     bfs_distances,
     erdos_renyi,
@@ -359,3 +360,84 @@ class TestVersions:
         assert full._pool is not second._pool
         assert rows_of(full) == [[2], [1], [0, 1]]
         assert rows_of(path) == [[1], [2], []]
+
+
+def reference_rows(graph, direction, node_ids):
+    """The per-node construction: one adjacency walk and one dict lookup
+    per neighbor (what :meth:`CSRGraph.from_graph` did before its bulk
+    pass), as lists of compact indices."""
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    adjacency = {
+        "out": graph.out_neighbors,
+        "in": graph.in_neighbors,
+        "both": graph.neighbors,
+    }[direction]
+    return [[index[v] for v in adjacency(node)] for node in node_ids]
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Sparse, negative and isolated ids, labelled edges, and an
+    append-stable ``node_ids`` order: sorted seed nodes, then nodes that
+    arrived later, each batch sorted (the order live updates produce)."""
+    ids = draw(st.lists(
+        st.integers(min_value=-(10**9), max_value=10**9),
+        min_size=1, max_size=24, unique=True,
+    ))
+    seeds = draw(st.integers(min_value=1, max_value=len(ids)))
+    graph = Graph()
+    for node in ids:
+        graph.add_node(node, draw(st.sampled_from([None, "page", 7])))
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                  st.sampled_from([None, "link", 3])),
+        max_size=60,
+    ))
+    for u, v, label in edges:
+        graph.add_edge(u, v, label)
+    later = ids[seeds:]
+    cut = draw(st.integers(min_value=0, max_value=len(later)))
+    order = sorted(ids[:seeds]) + sorted(later[:cut]) + sorted(later[cut:])
+    return graph, np.array(order, dtype=np.int64)
+
+
+class TestBulkBuild:
+    @settings(max_examples=80, deadline=None)
+    @given(case=labelled_graphs(), direction=st.sampled_from(["out", "in", "both"]))
+    def test_matches_the_per_node_construction(self, case, direction):
+        graph, node_ids = case
+        expected = reference_rows(graph, direction, node_ids.tolist())
+        for csr in (
+            CSRGraph.from_graph(graph, direction, node_ids=node_ids),
+            CSRGraph.from_graph(graph, direction),  # default: sorted ids
+        ):
+            order = csr.node_ids.tolist()
+            want = (expected if order == node_ids.tolist()
+                    else reference_rows(graph, direction, order))
+            assert rows_of(csr) == want
+            assert csr.num_edges == sum(map(len, want))
+            assert csr.degrees().tolist() == [len(row) for row in want]
+            assert csr.neighbors_of(0).dtype == np.int64
+            # Readers see a read-only pool.
+            assert not csr._data.flags.writeable
+            if csr.num_edges:
+                row = max(range(csr.num_nodes), key=lambda i: len(want[i]))
+                with pytest.raises(ValueError, match="read-only"):
+                    csr.neighbors_of(row)[0] = 0
+
+    def test_node_ids_must_list_every_node(self):
+        g = Graph()
+        g.add_edge(5, -3)
+        g.add_node(8)
+        with pytest.raises(ValueError, match="does not list every node"):
+            CSRGraph.from_graph(g, node_ids=np.array([5, 8, 8]))
+
+    def test_ids_outside_the_graph_are_rejected(self):
+        g = Graph()
+        g.add_edge(5, -3)
+        with pytest.raises(GraphError, match="no such node: 4"):
+            CSRGraph.from_graph(g, node_ids=np.array([5, 4]))
+
+    def test_empty_graph(self):
+        csr = CSRGraph.from_graph(Graph())
+        assert (csr.num_nodes, csr.num_edges) == (0, 0)

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ClusterConfig, GraphService, GraphUpdate
 from repro.core import NeighborAggregationQuery, PlacementConfig
@@ -172,6 +174,33 @@ class TestPlacementDirectory:
         directory.place(80, 8, 0, (1,))     # migrated (home left)
         assert directory.replicated_keys() == 1
         assert directory.migrated_keys() == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["place", "drop", "drop_replica"]),
+        st.integers(min_value=0, max_value=9),
+        st.permutations(range(4)),
+        st.integers(min_value=1, max_value=4),
+    ), max_size=50))
+    def test_holding_equals_a_sweep_of_entries(self, ops):
+        # The per-server index against its definition: the entries that
+        # list any of the servers, in directory order, after every
+        # mix of places, overwrites, drops and replica drops.
+        directory = PlacementDirectory()
+        drops = 0
+        for op, key, servers, count in ops:
+            if op == "place":
+                directory.place(key, key + 100, key % 4, servers[:count])
+            elif op == "drop":
+                drops += directory.drop(key) is not None
+            else:
+                directory.drop_replica(key, servers[0])
+            for sids in ([], [0], [3], [1, 2], [0, 1, 2, 3]):
+                assert directory.holding(sids) == [
+                    entry for entry in directory.entries()
+                    if set(entry.replicas) & set(sids)
+                ]
+        assert directory.drops == drops
 
 
 class TestPickReadReplica:

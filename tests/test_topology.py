@@ -2,15 +2,19 @@
 rebalancing, join/leave mid-session, chaos schedules, inert-topology
 parity, and property-based totality/replay invariants."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro import ClusterConfig, GraphService, TopologyConfig
-from repro.core import ChaosEvent, NeighborAggregationQuery
+from repro.core import ChaosEvent, NeighborAggregationQuery, PlacementConfig
 from repro.core.queries import QueryIdAllocator, query_ids_from
 from repro.core.routing import HashRouting
 from repro.core.topology import CHAOS_ACTIONS
+from repro.datasets import webgraph_like
 from repro.graph import GraphUpdate, ring_of_cliques
-from repro.workloads import poisson_arrivals, shifting_hotspot_stream
+from repro.workloads import churn_stream, poisson_arrivals, shifting_hotspot_stream
 
 
 @pytest.fixture(scope="module")
@@ -378,3 +382,158 @@ class TestChaosSchedule:
             topology.recover_server(0)  # no-op
             assert topology.epoch == 2
             assert len(topology.events) == 2
+
+
+# ---------------------------------------------------------------------------
+# What a repair round may skip
+# ---------------------------------------------------------------------------
+
+class TestRepairRoundVisits:
+    """Directed rounds on a 2-server outage with a 1-byte budget (so each
+    round admits exactly its first item), driven one round at a time.
+    A round skips lost keys a previous round found covered and fail-back
+    keys whose home is down; these pin when it must look again."""
+
+    def _open(self, graph):
+        config = _config(topology=TopologyConfig(
+            repair_interval_s=1.0, repair_byte_budget=1))
+        service = GraphService.open(graph, config)
+        owners = service.assets.owner_array(2).tolist()
+        lost = [idx for idx, owner in enumerate(owners) if owner == 0]
+        rounds = []
+        land = {"on": True}
+        mover = service.tier.move_process
+
+        def recording(moves, network=None):
+            rounds[-1].extend((move.kind, move.cache_key) for move in moves)
+            if land["on"]:
+                return (yield from mover(moves, network))
+            yield service.env.timeout(0)  # nothing lands: every leg lost
+            return {}
+
+        service.tier.move_process = recording
+        service.topology.fail_server(0)
+
+        def run_round():
+            rounds.append([])
+            env = service.env
+            env.run(until=env.process(service.topology._repair_round()))
+            return rounds[-1]
+
+        return service, lost, land, run_round
+
+    def test_a_lost_key_whose_move_failed_is_planned_again(self, graph):
+        service, lost, land, run_round = self._open(graph)
+        with service:
+            land["on"] = False
+            assert run_round() == [("repair", lost[0])]
+            land["on"] = True
+            assert run_round() == [("repair", lost[0])]
+            assert run_round() == [("repair", lost[1])]
+
+    def test_a_dropped_entry_is_seen_again(self, graph):
+        # Nothing drops the entry of a record whose home is down today
+        # (placement defers releases, fail-back needs the home); if
+        # something did, the record is lost again and its fail-back key
+        # is stale, and the next rounds must notice both.
+        service, lost, _land, run_round = self._open(graph)
+        with service:
+            topology = service.topology
+            node_ids = service.assets.node_ids
+            first, second, other = lost[0], lost[1], lost[-1]
+            assert run_round() == [("repair", first)]
+            assert run_round() == [("repair", second)]  # scan is past first
+            keys = {int(node_ids[idx]) for idx in (first, second)}
+            assert set(topology._failover_keys) == keys
+            service.tier.directory.drop(int(node_ids[first]))
+            topology._note_read_failure([other])
+            assert run_round() == [("demand", other)]
+            keys = {int(node_ids[idx]) for idx in (second, other)}
+            assert set(topology._failover_keys) == keys
+            assert run_round() == [("repair", first)]
+
+
+# ---------------------------------------------------------------------------
+# Pinned repair plans
+# ---------------------------------------------------------------------------
+
+class TestPinnedRepairPlans:
+    """Every record move of a churn-plus-chaos run on webgraph (scale
+    0.05, seed 1), by sha256.
+
+    Live updates, dynamic placement and failover share one record mover;
+    the run kills two storage servers, recovers both and joins a
+    processor while updates land. The digest covers every mover call in
+    order -- each move's ``(kind, key, write_to, replicas, landed)`` --
+    plus the final directory and ``topology.snapshot()``. A repair round
+    that visits its candidates in another order, admits a different
+    record or skips a fail-back changes it, so any rewrite of the repair
+    planner must keep it. Recorded on the per-round full-scan planner.
+    """
+
+    PINNED = "78754e5355ab1ddd0ca7ce0acd8fca8200b16bc43fd2bd8dc4095d3bdbfa470b"
+
+    def _run(self):
+        rate = 41_000.0
+        graph = webgraph_like(scale=0.05, seed=1)
+        with query_ids_from(QueryIdAllocator(start=8_000_000)):
+            items = list(churn_stream(
+                graph, num_hotspots=8, rounds=3, queries_per_visit=10,
+                radius=2, hops=2, update_every=5, updates_per_burst=3,
+                new_node_prob=0.5, remove_prob=0.2, attach_degree=3,
+                query_new_prob=0.35, seed=5))
+        span = sum(1 for item in items if not isinstance(item, GraphUpdate)) / rate
+        config = ClusterConfig(
+            num_processors=4, num_storage_servers=4, routing="hash",
+            steal=False, cache_capacity_bytes=2 << 10,
+            topology=TopologyConfig(
+                repair_interval_s=span / 1600, repair_byte_budget=1 << 10,
+                retry_limit=4096),
+            placement=PlacementConfig(
+                interval_s=span / 40, half_life_s=span / 16,
+                heat_threshold=3, replicate_threshold=3, replicas=2,
+                top_k=16, round_byte_budget=8 << 10, migrate_margin=0.5,
+                release_fraction=0.1),
+        )
+        waves = []
+        with GraphService.open(graph, config) as service:
+            tier = service.tier
+            move_process = tier.move_process
+
+            def recording(moves, network=None):
+                down = yield from move_process(moves, network)
+                waves.append([
+                    (m.kind, m.key, m.write_to, m.replicas, m.landed)
+                    for m in moves
+                ])
+                return down
+
+            tier.move_process = recording
+            service.topology.schedule([
+                ChaosEvent(at=0.15 * span, action="fail_server", target=0),
+                ChaosEvent(at=0.30 * span, action="fail_server", target=2),
+                ChaosEvent(at=0.45 * span, action="recover_server", target=0),
+                ChaosEvent(at=0.55 * span, action="add_processor"),
+                ChaosEvent(at=0.65 * span, action="recover_server", target=2),
+            ])
+            with service.session() as session:
+                session.serve(poisson_arrivals(items, rate=rate, tenant="c", seed=7))
+                session.report()
+            directory = [
+                (e.key, e.cache_key, e.home, e.replicas)
+                for e in tier.directory.entries()
+            ]
+            snapshot = service.topology.snapshot()
+        return waves, directory, snapshot
+
+    def test_repair_plans_are_unchanged(self):
+        waves, directory, snapshot = self._run()
+        kinds = {move[0] for wave in waves for move in wave}
+        # The run exercises every planner the digest is meant to pin.
+        assert {"repair", "demand", "failback", "rewrite"} <= kinds
+        assert {"replicate", "release", "update"} <= kinds
+        assert any(not move[4] for wave in waves for move in wave)
+        assert (snapshot["repair_bytes"], snapshot["failbacks"],
+                snapshot["demand_repairs"]) == (109_868, 255, 151)
+        blob = json.dumps([waves, directory, snapshot], default=str)
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.PINNED
