@@ -8,20 +8,31 @@ evaluation depends on, at a scale an in-process simulation can sweep:
 =============  ==========================  =================================
 dataset        generator                    property preserved
 =============  ==========================  =================================
-webgraph       copying model               power-law in-degree + strong
-                                           2-hop overlap between related
-                                           pages (hotspot caching works)
-friendster     preferential attachment     heavy-tailed social graph with
-                                           *large* 2-hop neighbourhoods and
-                                           low hotspot overlap (caching is
-                                           less effective — Fig 16b)
-memetracker    R-MAT (Graph500 params)     skewed, sparse hyperlink graph
+webgraph       community graph (site-      power-law in-degree + strong
+               sized preferential-          2-hop overlap between related
+               attachment communities)      pages (hotspot caching works)
+friendster     uniform random (Erdos-      large, tree-like 2-hop
+               Renyi)                       neighbourhoods with low hotspot
+                                           overlap (caching is less
+                                           effective — Fig 16b)
+memetracker    community graph (story-     skewed, sparse hyperlink graph
+               sized communities, more     with many cross links
+               cross links)
 freebase       low-density R-MAT           near-forest knowledge graph
 =============  ==========================  =================================
 
 ``scale=1.0`` yields graphs in the tens of thousands of nodes; the paper's
 relative comparisons (which routing wins, where curves bend) are preserved
 while absolute numbers shrink with the hardware.
+
+A graph is fixed by its seed down to insertion order: node order and the
+order of every out- and in-adjacency row. ``Graph.neighbors``, the CSR
+builds and landmark relaxation read rows in that order, so it feeds every
+simulated value. The generators draw in bulk and build adjacency in one
+:meth:`~repro.graph.Graph.add_edges` pass, but consume the same random
+stream as one numpy call per draw and insert edges in the same order;
+``tests/test_datasets.py::TestPinnedLayouts`` pins each graph tier-1 and
+``perf/`` load by sha256.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ by the smart-routing preprocessing (§3.4).
 from __future__ import annotations
 
 from typing import (
-    Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple, ValuesView,
+    Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    ValuesView,
 )
 
 NodeId = int
@@ -95,6 +96,35 @@ class Graph:
         self._in[v][u] = label
         self._num_edges += 1
         return True
+
+    def add_edges(self, sources: Sequence[NodeId], targets: Sequence[NodeId]) -> int:
+        """Add edges ``sources[i] -> targets[i]``; returns how many were new.
+
+        The same graph as ``add_edge(u, v)`` for each pair in order, in
+        one pass: endpoints are created implicitly, ``u`` before ``v``; a
+        duplicate keeps its first position (and any label). Row order is
+        first-insertion order in both directions, and ``neighbors()``,
+        the CSR builds and landmark relaxation read rows in that order,
+        so a generator's graph is fixed by its pair order, not its set.
+        """
+        if len(sources) != len(targets):
+            raise ValueError(f"{len(sources)} sources but {len(targets)} targets")
+        out, into = self._out, self._in
+        added = 0
+        for u, v in zip(sources, targets, strict=True):
+            row = out.get(u)
+            if row is None:
+                row = out[u] = {}
+                into[u] = {}
+            col = into.get(v)
+            if col is None:
+                out[v] = {}
+                col = into[v] = {}
+            if v not in row:
+                row[v] = col[u] = None
+                added += 1
+        self._num_edges += added
+        return added
 
     def remove_edge(self, u: NodeId, v: NodeId) -> None:
         if not self.has_edge(u, v):

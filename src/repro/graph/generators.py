@@ -16,6 +16,8 @@ All generators are deterministic for a fixed seed and return a
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .digraph import Graph
@@ -23,6 +25,51 @@ from .digraph import Graph
 
 def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+class _BoundedDraws:
+    """``rng.integers(0, n)`` calls (``n < 2**32``) replayed in bulk.
+
+    numpy draws such an integer by Lemire's method on the generator's
+    next 32-bit word: ``word * n >> 32``, drawing again while the low 32
+    bits of the product fall below ``2**32 % n``. This replays that
+    arithmetic on words fetched a chunk at a time, so a draw costs a few
+    Python operations instead of a numpy call (~10 us); :meth:`close`
+    rewinds the generator and skips exactly the words used, leaving it
+    where the scalar calls would have. ``tests/test_graph_generators.py``
+    checks the replay against numpy's own draws.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._start = rng.bit_generator.state
+        self._words: list[int] = []
+        self._used = 0
+
+    def _fetch(self, count: int) -> list[int]:
+        return self._rng.integers(0, 1 << 32, size=count, dtype=np.uint32).tolist()
+
+    def distinct(self, pool: Sequence[int], m: int) -> set[int]:
+        """The set ``while len(s) < m: s.add(pool[rng.integers(0, len(pool))])``
+        builds, in the same insertion (hence iteration) order."""
+        n = len(pool)
+        words, used = self._words, self._used
+        picked: set[int] = set()
+        while len(picked) < m:
+            if used == len(words):
+                words += self._fetch(1 << 14)
+            product = words[used] * n
+            used += 1
+            low = product & 0xFFFFFFFF
+            if low >= n or low >= (0x100000000 - n) % n:
+                picked.add(pool[product >> 32])
+        self._used = used
+        return picked
+
+    def close(self) -> None:
+        """Leave the generator just past the words the draws used."""
+        self._rng.bit_generator.state = self._start
+        self._fetch(self._used)
 
 
 def erdos_renyi(num_nodes: int, num_edges: int, seed=0) -> Graph:
@@ -33,18 +80,24 @@ def erdos_renyi(num_nodes: int, num_edges: int, seed=0) -> Graph:
     graph = Graph()
     for node in range(num_nodes):
         graph.add_node(node)
-    placed = 0
-    while placed < num_edges:
-        batch = max(1024, num_edges - placed)
+    # Each batch keeps what one add_edge per draw would: the first draw
+    # of every new pair that is not a self-loop, in draw order, up to
+    # exactly ``num_edges``.
+    placed_keys = np.empty(0, dtype=np.int64)
+    sources: list[int] = []
+    targets: list[int] = []
+    while len(sources) < num_edges:
+        batch = max(1024, num_edges - len(sources))
         us = rng.integers(0, num_nodes, size=batch)
         vs = rng.integers(0, num_nodes, size=batch)
-        for u, v in zip(us, vs, strict=True):
-            if u == v:
-                continue
-            if graph.add_edge(int(u), int(v)):
-                placed += 1
-                if placed == num_edges:
-                    break
+        keys = us * num_nodes + vs
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        first = first[(us[first] != vs[first]) & ~np.isin(keys[first], placed_keys)]
+        first = first[: num_edges - len(sources)]
+        placed_keys = np.concatenate((placed_keys, keys[first]))
+        sources += us[first].tolist()
+        targets += vs[first].tolist()
+    graph.add_edges(sources, targets)
     return graph
 
 
@@ -116,10 +169,8 @@ def rmat(
             diag = r >= a + b + c
             us = (us << 1) | (down | diag)
             vs = (vs << 1) | (right | diag)
-        added = 0
-        for u, v in zip(us, vs, strict=True):
-            if u != v and graph.add_edge(int(u), int(v)):
-                added += 1
+        loops = us == vs
+        added = graph.add_edges(us[~loops].tolist(), vs[~loops].tolist())
         if added == 0:
             # Saturated (tiny graphs): accept fewer edges than asked.
             break
@@ -212,56 +263,69 @@ def community_graph(
     attachment communities (sizes lognormal around ``community_size``) and
     adds ``inter_degree`` expected cross-community edges per node, with
     popular communities attracting more of them.
+
+    The random stream is the one ``rng.integers`` / ``rng.choice`` calls
+    per draw would consume, drawn in bulk: preferential picks are
+    replayed from raw words (:class:`_BoundedDraws`), and each cross link
+    draws its community by ``searchsorted`` on one CDF, the arithmetic
+    of ``choice(k, p=popularity)``. Edges are collected in insertion
+    order and built by one :meth:`Graph.add_edges`, so node order and
+    every adjacency row keep the order the per-edge build gave them
+    (``tests/test_datasets.py`` pins them by sha256).
     """
     if num_communities < 2 or community_size < 3:
         raise ValueError("need >= 2 communities of >= 3 nodes")
     if intra_degree < 1:
         raise ValueError("intra_degree must be >= 1")
     rng = _rng(seed)
-    graph = Graph()
     sizes = np.maximum(
         3,
         (community_size * rng.lognormal(0.0, size_spread, num_communities))
         .astype(np.int64),
-    )
-    members: list[np.ndarray] = []
-    next_id = 0
+    ).tolist()
+    starts: list[int] = []
+    sources: list[int] = []
+    targets: list[int] = []
+    draws = _BoundedDraws(rng)
+    base = 0
     for size in sizes:
-        ids = np.arange(next_id, next_id + size)
-        members.append(ids)
-        next_id += int(size)
+        starts.append(base)
         # Preferential attachment inside the community: power-law degrees
-        # at community scale without global hubs.
-        m = min(intra_degree // 2 + 1, int(size) - 1)
+        # at community scale without global hubs. `repeated` holds every
+        # edge as (u, v): each endpoint appearance is one lottery ticket.
+        m = min(intra_degree // 2 + 1, size - 1)
         repeated: list[int] = []
-        base = int(ids[0])
-        for u in range(1, m + 1):
-            for v in range(u):
-                graph.add_edge(base + u, base + v)
-                repeated.extend((base + u, base + v))
-        for u in range(m + 1, int(size)):
-            targets: set[int] = set()
-            while len(targets) < m:
-                pick = repeated[rng.integers(0, len(repeated))]
-                if pick != base + u:
-                    targets.add(pick)
-            for v in targets:
-                graph.add_edge(base + u, v)
-                repeated.extend((base + u, v))
+        for u in range(base + 1, base + m + 1):
+            for v in range(base, u):
+                repeated.append(u)
+                repeated.append(v)
+        for u in range(base + m + 1, base + size):
+            # u is not in `repeated` yet, so it never picks itself.
+            for v in draws.distinct(repeated, m):
+                repeated.append(u)
+                repeated.append(v)
+        sources += repeated[0::2]
+        targets += repeated[1::2]
+        base += size
+    draws.close()
     # Cross links: communities get popularity weights (Zipf-ish), nodes
     # link out to a random node in a popularity-weighted other community.
     popularity = 1.0 / np.arange(1, num_communities + 1) ** 0.8
     popularity /= popularity.sum()
-    for c, ids in enumerate(members):
-        expected = inter_degree * len(ids)
-        num_links = rng.poisson(expected)
+    # The CDF rng.choice(num_communities, p=popularity) rebuilds per call.
+    cdf = popularity.cumsum()
+    cdf /= cdf[-1]
+    for c, (start, size) in enumerate(zip(starts, sizes, strict=True)):
+        num_links = rng.poisson(inter_degree * size)
         for _ in range(num_links):
-            u = int(ids[rng.integers(0, len(ids))])
-            other = int(rng.choice(num_communities, p=popularity))
+            u = start + int(rng.integers(0, size))
+            other = int(cdf.searchsorted(rng.random(), side="right"))
             if other == c:
                 continue
-            v = int(members[other][rng.integers(0, len(members[other]))])
-            graph.add_edge(u, v)
+            sources.append(u)
+            targets.append(starts[other] + int(rng.integers(0, sizes[other])))
+    graph = Graph()
+    graph.add_edges(sources, targets)
     return graph
 
 

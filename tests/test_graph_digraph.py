@@ -256,3 +256,34 @@ class TestCopyLayout:
             for n in g.nodes()
         )
         assert moved > 0  # the quirk shows on the benchmark graph family
+
+
+node_ids = st.integers(min_value=-6, max_value=12) | st.sampled_from([10**6, -(10**9)])
+
+
+class TestAddEdges:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        prior_nodes=st.lists(
+            st.tuples(node_ids, st.sampled_from([None, "n"])), max_size=6),
+        prior_edges=st.lists(
+            st.tuples(node_ids, node_ids, st.sampled_from([None, "x"])),
+            max_size=12),
+        edges=st.lists(st.tuples(node_ids, node_ids), max_size=40),
+    )
+    def test_equals_the_add_edge_replay(self, prior_nodes, prior_edges, edges):
+        built, replayed = Graph(), Graph()
+        for g in (built, replayed):
+            for node, label in prior_nodes:
+                g.add_node(node, label)
+            for u, v, label in prior_edges:
+                g.add_edge(u, v, label)
+        added = built.add_edges([u for u, _ in edges], [v for _, v in edges])
+        assert added == sum(replayed.add_edge(u, v) for u, v in edges)
+        assert layout(built) == layout(replayed)
+
+    def test_lengths_must_match(self):
+        g = Graph()
+        with pytest.raises(ValueError):
+            g.add_edges([0, 1], [1])
+        assert g.num_nodes == 0

@@ -51,7 +51,7 @@ class TestPooledTimeoutRetention:
     def test_unsanitized_run_recycles_silently(self):
         # The bug the trap exists for: without sanitize the retained
         # reference aliases a *recycled* timeout and misreads state.
-        env = Environment()
+        env = Environment(sanitize=False)
 
         def retainer(env):
             t = env.timeout(1.0)
@@ -109,7 +109,7 @@ class TestUnhandledFailureTrap:
 
     def test_unsanitized_failure_stays_silent(self):
         # Documents the default (simpy-like) behavior the trap tightens.
-        env = Environment()
+        env = Environment(sanitize=False)
 
         def failing(env):
             yield env.timeout(1.0)
@@ -171,7 +171,7 @@ class TestRngTrap:
         assert 0.0 <= random.random() <= 1.0
 
     def test_unsanitized_run_leaves_rng_alone(self):
-        env = Environment()
+        env = Environment(sanitize=False)
         drawn = []
 
         def gambler(env):
@@ -365,7 +365,8 @@ class TestTieTallies:
         assert report["tie_cohorts_multi"] == 2
         assert report["max_tie_cohort"] == 4
 
-    def test_off_by_default(self):
+    def test_off_by_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         env = Environment()
         assert env.sanitize is False
         report = env.sanitize_report()
@@ -388,7 +389,7 @@ class TestTieTallies:
         assert env.events_processed == 9
 
     def test_traffic_shape_tallies_free_when_off(self):
-        env = Environment()
+        env = Environment(sanitize=False)
         env.timeout(1.0)
         env.run()
         report = env.sanitize_report()

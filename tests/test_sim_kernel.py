@@ -792,7 +792,7 @@ class TestEventAccounting:
 
 class TestTimeoutPooling:
     def test_bare_timeouts_are_recycled(self):
-        env = Environment()
+        env = Environment(sanitize=False)
         seen = []
 
         def proc():
