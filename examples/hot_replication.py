@@ -115,9 +115,8 @@ def manual_lifecycle() -> None:
     with GraphService.open(graph, config) as service:
         manager = service.placement
         tier = service.tier
-        tier.load_graph(service.assets.graph)  # real payloads, not just sizes
         node = 0
-        home = tier.partitioner(node, tier.num_servers)
+        home = tier.home(node)
         print(f"\nManual lifecycle: record {node} hash-homes on server {home}")
 
         # Make the record hot and its holder look overloaded.
@@ -134,8 +133,8 @@ def manual_lifecycle() -> None:
         print(f"  migrated -> server {target} at t={service.env.now:.6f}s "
               "(copied through the storage write pipeline)")
         assert tier.locate(node) is tier.servers[target]
-        assert node in tier.servers[target].store
-        assert node not in tier.servers[home].store
+        assert tier.replica_sids(node) == (target,)
+        assert manager.directory.migrated_keys() == 1
 
         # Long idle: heat decays below the release floor, the planner
         # copies the record back home and drops the directory entry.
@@ -146,6 +145,7 @@ def manual_lifecycle() -> None:
         proc = service.env.process(manager._execute(moves))
         service.env.run(until=proc)
         assert manager.directory.get(node) is None
+        assert tier.replica_sids(node) == (home,)
         assert tier.locate(node) is tier.servers[home]
         print(f"  cooled -> restored to server {home}; directory empty again "
               f"({manager.restores} restore, {manager.migrations} migration)")

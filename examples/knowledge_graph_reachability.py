@@ -3,10 +3,10 @@
 
 Two parts:
 
-1. A miniature Freebase-style labeled knowledge graph queried through the
-   *materialized* storage path (real adjacency records with labels flowing
-   through the log-structured store), demonstrating the paper's Figure 3
-   data model and the h-hop reachability query.
+1. A miniature Freebase-style labeled knowledge graph as key-value
+   records (one adjacency record per node, labels included, with the
+   encoded sizes the storage tier charges for), demonstrating the paper's
+   Figure 3 data model and the h-hop reachability query.
 2. A processor-failure drill on the decoupled cluster: one query processor
    is removed mid-workload and the router redistributes its queued work —
    no routing table to rebuild, no partition to migrate (§2.3).
@@ -18,8 +18,7 @@ Run:  python examples/knowledge_graph_reachability.py
 from repro import ClusterConfig, GraphAssets, GraphService
 from repro.datasets import freebase_like
 from repro.graph import Graph, bidirectional_reachability
-from repro.storage import StorageTier
-from repro.sim import Environment
+from repro.storage import record_for_node
 from repro.workloads import hotspot_stream
 
 
@@ -41,19 +40,12 @@ def figure3_graph() -> Graph:
 def demo_storage_records() -> None:
     print("Part 1: key-value storage of a labeled knowledge graph")
     graph = figure3_graph()
-    env = Environment()
-    tier = StorageTier(env, num_servers=2)
-    tier.load_graph(graph)
-
-    fetch = env.process(tier.fetch_process([0, 1]))
-    records = env.run(until=fetch)
-    jerry = records[0]
-    print(f"  record[{jerry.node_label}]: "
-          f"out={[(v, l) for v, l in jerry.out_edges]}")
-    yahoo = records[1]
-    print(f"  record[{yahoo.node_label}]: "
-          f"in={[(v, l) for v, l in yahoo.in_edges]} "
-          f"(reverse edges stored, per Figure 3)")
+    for node in graph.nodes():
+        record = record_for_node(graph, node)
+        print(f"  record[{record.node_label}] ({len(record.encode())} B): "
+              f"out={[(v, l) for v, l in record.out_edges]} "
+              f"in={[(v, l) for v, l in record.in_edges]}")
+    print("  (reverse edges are stored too, per Figure 3)")
     # Reachability uses both directions: California from Jerry Yang.
     print(f"  'Jerry Yang' -> 'California' within 2 hops: "
           f"{bidirectional_reachability(graph, 0, 4, 2)}")

@@ -59,7 +59,7 @@ from .costs import (
 )
 from .graph import GraphUpdate
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "ChaosEvent",

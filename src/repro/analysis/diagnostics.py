@@ -5,7 +5,7 @@ waived — never silenced — with an inline comment carrying the rule code
 *and a reason*, so every deliberate exception to an invariant stays
 grep-able::
 
-    self.store.put(key, value)  # repro: allow S301 — untimed bulk load
+    self.cache.put_many(keys, sizes)  # repro: allow S301 — untimed warm-up
 
 The waiver may sit on the flagged line or on the line directly above it
 (for lines too long to share with a comment). A module-level waiver

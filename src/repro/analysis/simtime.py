@@ -9,7 +9,7 @@ two accounting contracts: storage/cache mutation flows through the timed
 Codes
 -----
 S301
-    direct kvstore/cache mutation (``.put``/``.put_many``/``.delete``/
+    direct store/cache mutation (``.put``/``.put_many``/``.delete``/
     ``.invalidate_many``/``.load`` on a store- or cache-shaped receiver)
     from a non-generator function in ``core/``/``storage/``: mutation
     outside a timed pipeline lands in zero simulated time and dodges the
@@ -47,7 +47,7 @@ STOREISH = ("store", "cache", "kvstore", "kv")
 
 #: Modules that *implement* the data structures: their internal calls are
 #: the structures' own bookkeeping, not simulation-time accounting.
-IMPL_MODULES = ("storage/kvstore.py", "core/cache.py")
+IMPL_MODULES = ("core/cache.py",)
 
 #: bench modules allowed to touch files: the emit()/validate machinery.
 BENCH_IO_MODULES = ("bench/harness.py", "bench/validate.py")
@@ -69,7 +69,7 @@ def _is_storeish(segments: list) -> bool:
 
 
 @rule("S301", "untimed-mutation",
-      "kvstore/cache mutation outside a timed *_process pipeline")
+      "store/cache mutation outside a timed *_process pipeline")
 def check_untimed_mutation(ctx: ModuleContext) -> Iterator[Finding]:
     if not ctx.in_package("core", "storage"):
         return

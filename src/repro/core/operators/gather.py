@@ -27,6 +27,9 @@ contention, utilisation accounting and failure injection are identical to
 the generator version — the simulated times and their ordering are
 bit-for-bit the same, with two generator trampolines, two ``Process``
 objects and an ``Initialize`` event per fetch gone from the hot path.
+Record sizes (``GraphAssets.record_sizes``) and owners
+(``GraphAssets.owner_array``, the tier's hash homes) come from
+precomputed arrays: the storage tier holds no record bytes.
 
 ``gather_nodes`` itself is array-native end-to-end: the frontier ndarray
 flows into :meth:`ProcessorCache.get_many`, the missed keys come back as
@@ -61,9 +64,10 @@ class _ServerFetch(Event):
     payload has fully arrived (or fails with
     :class:`StorageServerDown`), so a gather wave allocates one object
     per touched server instead of a fetch-plus-event pair. The chain is
-    driven entirely by event callbacks on the simulation kernel; its
-    queueing, liveness check and counters mirror
-    ``StorageServer.multiget_process`` without touching the store.
+    driven entirely by event callbacks on the simulation kernel; it is
+    the tier's one read path: it queues on the server's FIFO pipeline,
+    checks liveness at grant, and bumps the server's read counters
+    (``requests_served`` / ``keys_served`` / ``bytes_served``).
     """
 
     __slots__ = ("processor", "server", "num_keys", "nbytes", "request")

@@ -25,6 +25,18 @@ if TYPE_CHECKING:  # pragma: no cover
 POISON = object()
 
 
+def _observe_worker(_worker) -> None:
+    """Worker-process observer, attached at start.
+
+    Nothing awaits a worker, so a crash (e.g. :class:`StorageServerDown`
+    with failover off) has no waiter at its failure instant. This
+    callback marks it *handled*: the service surfaces the stored failure
+    when the run stalls (``GraphService._raise_worker_crash``), sanitized
+    or not, and the sanitizer's unhandled-failure trap stays armed for
+    every other process.
+    """
+
+
 class QueryProcessor:
     """One processing-tier server."""
 
@@ -37,17 +49,14 @@ class QueryProcessor:
         costs: CostModel,
         cache_capacity_bytes: int,
         cache_policy: str = "lru",
-        use_cache: bool = True,
     ) -> None:
         self.env = env
         self.processor_id = processor_id
         self.tier = tier
         self.assets = assets
         self.costs = costs
-        self.use_cache = use_cache and cache_capacity_bytes > 0
-        self.cache = ProcessorCache(
-            cache_capacity_bytes if self.use_cache else 0, policy=cache_policy
-        )
+        self.use_cache = cache_capacity_bytes > 0
+        self.cache = ProcessorCache(cache_capacity_bytes, policy=cache_policy)
         self.owner_of = assets.owner_array(tier.num_servers)
         self.queries_executed = 0
         self.busy_time = 0.0
@@ -69,6 +78,7 @@ class QueryProcessor:
         if self._process is not None:
             raise RuntimeError("processor already started")
         self._process = self.env.process(self._run(router))
+        self._process.callbacks.append(_observe_worker)
 
     @property
     def failure(self) -> Optional[BaseException]:

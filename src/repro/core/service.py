@@ -219,9 +219,10 @@ class GraphService:
             tier=self.tier,
             assets=self.assets,
             costs=cfg.costs,
-            cache_capacity_bytes=cfg.cache_capacity_bytes,
+            cache_capacity_bytes=(
+                0 if cfg.routing == "no_cache" else cfg.cache_capacity_bytes
+            ),
             cache_policy=cfg.cache_policy,
-            use_cache=cfg.routing != "no_cache",
         )
 
     @classmethod
@@ -431,7 +432,6 @@ class GraphService:
                 "writes_served": server.writes_served,
                 "records_written": server.records_written,
                 "bytes_written": server.bytes_written,
-                "records_held": len(server.store),
                 "utilization": server.utilization(elapsed),
                 "top_heat": heat[server.server_id],
             }

@@ -15,8 +15,8 @@ through four layers, in simulated time where time is owed:
    and each CSR view moves to a new version holding just the dirty rows,
    O(dirty) per batch — queries in flight keep the version they captured
    (:meth:`~repro.core.assets.GraphAssets.apply_graph_updates`);
-2. **storage** — every dirty node's re-encoded, re-sized
-   :class:`~repro.storage.records.AdjacencyRecord` is rewritten through
+2. **storage** — every dirty node's record, at its new encoded size
+   (``GraphAssets.record_sizes``), is rewritten through
    the storage tier's write path (one multiput per owning server, paying
    :meth:`~repro.costs.StorageServiceModel.write_time` on the same FIFO
    pipeline queries fetch from — churn contends with traffic);
@@ -220,12 +220,11 @@ class LiveUpdateManager:
         service = self.service
         assets = service.assets
         sizes = assets.record_sizes
-        # Storage keys are *original* node ids (the key space load_graph
-        # partitions on); cache keys are compact indices (what the gather
-        # path probes with). The tier encodes the payloads itself when it
-        # holds real bytes.
+        # Storage keys are *original* node ids (the key space the tier
+        # hashes); cache keys are compact indices (what the gather path
+        # probes with).
         items = [
-            (node, int(sizes[assets.compact[node]]), None)
+            (node, int(sizes[assets.compact[node]]))
             for node in sorted(dirty_ids)
         ]
         records, nbytes, write_error = yield from service.tier.multiput_process(

@@ -1,6 +1,10 @@
-"""Decoupled storage tier: RAMCloud-like partitioned key-value store."""
+"""Decoupled storage tier: hash-partitioned records on simulated servers.
 
-from .kvstore import KVStoreError, LogStructuredStore
+Servers are FIFO service pipelines whose timing comes from record sizes;
+where a record lives is its MurmurHash3 home plus the placement
+directory, and records move only through the tier's timed mover.
+"""
+
 from .murmur import hash_node_id, hash_node_ids, murmur3_32
 from .placement import (
     HeatTracker,
@@ -9,28 +13,14 @@ from .placement import (
     heat_by_server,
     pick_read_replica,
 )
-from .records import (
-    AdjacencyRecord,
-    graph_to_records,
-    record_for_node,
-    record_size,
-)
+from .records import AdjacencyRecord, record_for_node, record_size
 from .server import StorageServer, StorageServerDown
-from .tier import (
-    HOME,
-    UNCHANGED,
-    Move,
-    StorageTier,
-    modulo_partitioner,
-    murmur_partitioner,
-)
+from .tier import HOME, UNCHANGED, Move, StorageTier
 
 __all__ = [
     "AdjacencyRecord",
     "HOME",
     "HeatTracker",
-    "KVStoreError",
-    "LogStructuredStore",
     "Move",
     "Placement",
     "PlacementDirectory",
@@ -38,13 +28,10 @@ __all__ = [
     "StorageServerDown",
     "StorageTier",
     "UNCHANGED",
-    "graph_to_records",
     "hash_node_id",
     "hash_node_ids",
     "heat_by_server",
-    "modulo_partitioner",
     "murmur3_32",
-    "murmur_partitioner",
     "pick_read_replica",
     "record_for_node",
     "record_size",

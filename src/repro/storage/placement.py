@@ -19,8 +19,8 @@ kept storage-side so the tier can consult them on every read and write:
     A mutable overlay on the hash partitioner that stores only
     *exceptions*: records that were migrated away from their hash home
     or replicated onto extra servers. Every ``StorageTier`` owns one; an
-    empty directory is bit-identical to plain ``murmur_partitioner``
-    behaviour. Entries are dual-keyed, by storage key (original node id
+    empty directory is bit-identical to plain hash placement
+    (:meth:`StorageTier.home`). Entries are dual-keyed, by storage key (original node id
     — the key space ``StorageTier`` partitions and writes with) and by
     cache key (compact index — what the gather hot path routes with),
     because both paths must agree on where a record lives at every

@@ -99,14 +99,6 @@ class AdjacencyRecord:
         in_edges, offset = read_entries(n_in, offset)
         return cls(node_id, out_edges, in_edges, node_label)
 
-    def size_bytes(self) -> int:
-        """Encoded size; used for cache occupancy and transfer accounting."""
-        size = _HEADER.size + 2 + len((self.node_label or "").encode("utf-8"))
-        for edges in (self.out_edges, self.in_edges):
-            for _, label in edges:
-                size += _ENTRY.size + len((label or "").encode("utf-8"))
-        return size
-
 
 def record_for_node(graph: Graph, node: int) -> AdjacencyRecord:
     """Build the adjacency record of ``node`` from a graph."""
@@ -137,9 +129,3 @@ def record_size(graph: Graph, node: int) -> int:
         if label:
             size += len(label.encode("utf-8"))
     return size
-
-
-def graph_to_records(graph: Graph):
-    """Yield the adjacency record of every node."""
-    for node in graph.nodes():
-        yield record_for_node(graph, node)

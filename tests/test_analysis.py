@@ -325,8 +325,8 @@ class TestS301UntimedMutation:
     def test_queue_receivers_and_impl_modules_pass(self):
         source = "def push(inbox, item):\n    inbox.put(item)\n"
         assert unwaived(source, "repro/core/x.py") == []
-        mutation = "def compact(self):\n    self.store.put('k', b'')\n"
-        assert unwaived(mutation, "repro/storage/kvstore.py") == []
+        mutation = "def evict(self):\n    self._cache.put('k', 0)\n"
+        assert unwaived(mutation, "repro/core/cache.py") == []
 
     def test_waiver_honored(self):
         source = """

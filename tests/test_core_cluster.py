@@ -164,12 +164,6 @@ class TestExpectedBehaviours:
         nocache = _run(setup, "no_cache")
         assert tiny.mean_response_time() > nocache.mean_response_time()
 
-    def test_materialized_storage_holds_graph(self, setup):
-        graph, assets, _queries = setup
-        with GraphService.open(graph, _config("hash"), assets=assets) as service:
-            service.tier.load_graph(service.assets.graph)
-            assert sum(service.tier.load_distribution()) == graph.num_nodes
-
     def test_run_workload_convenience(self, setup):
         graph, assets, queries = setup
         report = run_workload(graph, queries[:10], _config("hash"),

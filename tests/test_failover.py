@@ -2,10 +2,12 @@
 re-replication, fail-back convergence, downtime metrics, tolerated
 update writes and replica-aware reads under failure."""
 
+import numpy as np
 import pytest
 
 from repro import ClusterConfig, GraphService, TopologyConfig
-from repro.core import ChaosEvent, NeighborAggregationQuery
+from repro.core import ChaosEvent, NeighborAggregationQuery, QueryStats
+from repro.core import gather_nodes
 from repro.core.queries import QueryIdAllocator, query_ids_from
 from repro.graph import GraphUpdate, ring_of_cliques
 from repro.storage import StorageServerDown, pick_read_replica
@@ -125,7 +127,7 @@ def _split_pair(service):
     tier = service.tier
     return next(
         (u, v) for u in range(5) for v in range(15, 20)
-        if tier.partitioner(u, 2) != tier.partitioner(v, 2)
+        if tier.home(u) != tier.home(v)
     )
 
 
@@ -134,8 +136,17 @@ class TestEveryServerDead:
         """With failover on and no live server, repair has nowhere to
         write: the loop parks instead of rescheduling itself forever, so
         drain() surfaces the reader's error instead of hanging."""
+        self._drill(graph, sanitize=False)
+
+    def test_sanitized_run_surfaces_the_crash_at_drain_too(self, graph):
+        # The crashed worker is observed, so the sanitizer's trap does
+        # not fire mid-run: the error surfaces at drain() as above.
+        self._drill(graph, sanitize=True)
+
+    @staticmethod
+    def _drill(graph, sanitize):
         config = _config(topology=TopologyConfig(retry_limit=0))
-        with GraphService.open(graph, config) as service:
+        with GraphService.open(graph, config, sanitize=sanitize) as service:
             topology = service.topology
             session = service.session()
             topology.fail_server(0)
@@ -165,7 +176,7 @@ class TestSanitizedMoverFailures:
         with GraphService.open(graph, _config(), sanitize=True) as service:
             topology = service.topology
             u, v = _split_pair(service)
-            dead = service.tier.partitioner(v, 2)
+            dead = service.tier.home(v)
             topology.fail_server(dead)
             report = service.apply_updates([GraphUpdate.add_edge(u, v)])
             assert report.records_written == 1  # u's leg landed
@@ -180,7 +191,7 @@ class TestSanitizedMoverFailures:
         config = _config(topology=None)
         with GraphService.open(graph, config, sanitize=True) as service:
             u, v = _split_pair(service)
-            service.tier.servers[service.tier.partitioner(v, 2)].fail()
+            service.tier.servers[service.tier.home(v)].fail()
             with pytest.raises(StorageServerDown):
                 service.apply_updates([GraphUpdate.add_edge(u, v)])
             # The error surfaced from the update manager, after the
@@ -274,7 +285,7 @@ class TestReplicaReadsUnderFailure:
             tier = service.tier
             key = next(
                 k for k in sorted(graph.nodes())
-                if tier.partitioner(k, tier.num_servers) == 0
+                if tier.home(k) == 0
             )
             idx = int(service.assets.compact[key])
             topology.directory.place(key, idx, 0, (0, 1))
@@ -287,11 +298,14 @@ class TestReplicaReadsUnderFailure:
             # All dead: the first replica surfaces the error.
             topology.fail_server(1)
             assert tier.locate(key).server_id == 0
+            processor = service.processors[0]
+
+            def read():
+                yield from gather_nodes(
+                    processor, np.array([idx], dtype=np.int64), QueryStats())
+
             with pytest.raises(StorageServerDown):
-                service.env.run(until=service.env.process(
-                    tier.servers[tier.locate(key).server_id]
-                    .multiget_process([key])
-                ))
+                service.env.run(until=service.env.process(read()))
             service.close(drain=False)
 
     def test_pick_read_replica_prefers_shorter_pipeline(self, graph):

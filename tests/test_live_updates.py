@@ -255,16 +255,6 @@ class TestServiceLiveUpdates:
             assert sum(s.writes_served for s in service.tier.servers) >= 1
             assert sum(s.records_written for s in service.tier.servers) == 2
 
-    def test_materialized_storage_holds_rewritten_record(self):
-        graph = ring_graph(8)
-        with GraphService.open(graph, _config("hash")) as service:
-            service.tier.load_graph(service.assets.graph)
-            service.apply_updates([GraphUpdate.add_edge(0, 4)])
-            from repro.storage import AdjacencyRecord
-            payload = service.tier.locate(0).store.get(0)
-            record = AdjacencyRecord.decode(payload)
-            assert 4 in record.out_neighbors()
-
     def test_caches_are_invalidated(self):
         graph = ring_graph(12)
         with GraphService.open(graph, _config("hash")) as service:

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ClusterConfig, GraphService, GraphUpdate
-from repro.core import NeighborAggregationQuery, PlacementConfig
+from repro.core import NeighborAggregationQuery, PlacementConfig, QueryStats
+from repro.core import gather_nodes
 from repro.core.queries import QueryIdAllocator, query_ids_from
 from repro.graph import Graph
 from repro.storage import (
@@ -233,6 +234,19 @@ class TestPickReadReplica:
 # Tier routing through the directory
 # ---------------------------------------------------------------------------
 
+def _gather(service, node):
+    """Fetch ``node``'s record through processor 0's gather path."""
+    processor = service.processors[0]
+    stats = QueryStats()
+    nodes = np.array([service.assets.compact[node]], dtype=np.int64)
+
+    def read():
+        yield from gather_nodes(processor, nodes, stats)
+
+    service.env.run(until=service.env.process(read()))
+    return stats
+
+
 class TestTierReplicaRouting:
     def _attached(self, service):
         service.tier.heat = HeatTracker(
@@ -244,7 +258,7 @@ class TestTierReplicaRouting:
         with GraphService.open(ring_graph(), _config()) as service:
             tier = service.tier
             node = 0
-            home = tier.partitioner(node, tier.num_servers)
+            home = tier.home(node)
             other = 1 - home
             assert tier.locate(node) is tier.servers[home]
             directory = self._attached(service)
@@ -252,38 +266,27 @@ class TestTierReplicaRouting:
             directory.place(node, service.assets.compact[node], home, (other,))
             assert tier.locate(node) is tier.servers[other]
             assert tier.replica_sids(node) == (other,)
-            plan = tier.partition_plan([node])
-            assert plan == {other: [node]}
-
-    def test_store_record_writes_all_replicas(self):
-        with GraphService.open(ring_graph(), _config()) as service:
-            service.tier.load_graph(service.assets.graph)
-            tier = service.tier
-            directory = self._attached(service)
-            node = 0
-            home = tier.partitioner(node, tier.num_servers)
-            other = 1 - home
-            directory.place(node, service.assets.compact[node], home,
-                            (home, other))
-            tier.store_record(record_for_node(service.assets.graph, node))
-            for sid in (home, other):
-                assert node in tier.servers[sid].store
+            # The gather path reads from the directory's server too.
+            _gather(service, node)
+            assert tier.servers[other].requests_served == 1
+            assert tier.servers[home].requests_served == 0
 
     def test_read_fails_over_to_live_replica(self):
         with GraphService.open(ring_graph(), _config()) as service:
-            service.tier.load_graph(service.assets.graph)
             tier = service.tier
             directory = self._attached(service)
             node = 0
-            home = tier.partitioner(node, tier.num_servers)
+            home = tier.home(node)
             other = 1 - home
             directory.place(node, service.assets.compact[node], home,
                             (home, other))
-            tier.store_record(record_for_node(service.assets.graph, node))
             tier.servers[home].fail()
-            proc = service.env.process(tier.fetch_process([node]))
-            records = service.env.run(until=proc)
-            assert records[node].node_id == node
+            stats = _gather(service, node)
+            assert stats.storage_requests == 1
+            assert stats.bytes_fetched == len(
+                record_for_node(service.assets.graph, node).encode())
+            assert tier.servers[other].requests_served == 1
+            assert tier.servers[home].requests_served == 0
             tier.servers[home].recover()
 
 
@@ -299,25 +302,26 @@ class TestReplicaCoherenceUnderFailure:
         tier.heat = HeatTracker(
             half_life_s=1.0, size=service.assets.num_nodes
         )
-        home = tier.partitioner(node, tier.num_servers)
+        home = tier.home(node)
         directory.place(node, service.assets.compact[node], home,
                         (home, 1 - home))
-        tier.store_record(record_for_node(service.assets.graph, node))
         return directory, home
 
     def test_write_all_updates_every_replica(self):
         with GraphService.open(ring_graph(), _config()) as service:
-            service.tier.load_graph(service.assets.graph)
             directory, home = self._replicate(service, 0)
             service.apply_updates([GraphUpdate.add_edge(0, 6)])
             tier = service.tier
-            payloads = {
-                sid: tier.servers[sid].store.get(0) for sid in (0, 1)
-            }
-            assert payloads[0] == payloads[1]
-            # Both copies carry the new edge.
-            from repro.storage.records import AdjacencyRecord
-            assert 6 in AdjacencyRecord.decode(payloads[home]).out_neighbors()
+            # Both copies carry the new edge: the rewritten record of
+            # node 0 lands on both replicas, node 6's on its hash home.
+            graph = service.assets.graph
+            size = {n: len(record_for_node(graph, n).encode()) for n in (0, 6)}
+            for sid in (home, 1 - home):
+                expected = [0] + ([6] if tier.home(6) == sid else [])
+                server = tier.servers[sid]
+                assert server.records_written == len(expected)
+                assert server.bytes_written == sum(size[n] for n in expected)
+            assert directory.get(0).replicas == (home, 1 - home)
 
     def test_mid_write_failure_survivor_covers_and_replica_dropped(self):
         # The PR 5 mid-write regression, extended to replica sets: one
@@ -326,7 +330,6 @@ class TestReplicaCoherenceUnderFailure:
         # the failure-known instant; caches and staleness behave as for
         # any applied update.
         with GraphService.open(ring_graph(), _config()) as service:
-            service.tier.load_graph(service.assets.graph)
             tier = service.tier
             directory, home = self._replicate(service, 0)
             survivor = 1 - home
@@ -334,7 +337,7 @@ class TestReplicaCoherenceUnderFailure:
             # coverable with the home server down.
             other = next(
                 n for n in range(1, 12)
-                if tier.partitioner(n, tier.num_servers) == survivor
+                if tier.home(n) == survivor
             )
             with service.session() as session:
                 session.submit(NeighborAggregationQuery(node=0, hops=1))
@@ -359,7 +362,6 @@ class TestReplicaCoherenceUnderFailure:
         # legacy StorageServerDown surfaces and the replica set is kept
         # (dead), so later reads surface the loss too.
         with GraphService.open(ring_graph(), _config()) as service:
-            service.tier.load_graph(service.assets.graph)
             directory, home = self._replicate(service, 0)
             for server in service.tier.servers:
                 server.fail()
@@ -380,9 +382,7 @@ class TestPlacementManager:
             "half_life_s": 10.0,
             **placement_kw,
         })
-        service = GraphService.open(ring_graph(), _config(placement=placement))
-        service.tier.load_graph(service.assets.graph)
-        return service
+        return GraphService.open(ring_graph(), _config(placement=placement))
 
     def test_replication_plans_execute_and_land_copies(self):
         with self._service(heat_threshold=2.0, replicate_threshold=2.0,
@@ -390,7 +390,7 @@ class TestPlacementManager:
             manager = service.placement
             tier = service.tier
             node, idx = 0, service.assets.compact[0]
-            home = tier.partitioner(node, tier.num_servers)
+            home = tier.home(node)
             manager.heat.touch(np.array([idx]), service.env.now, weight=5.0)
             moves = manager.plan()
             assert [m.kind for m in moves] == ["replicate"]
@@ -400,7 +400,7 @@ class TestPlacementManager:
             assert service.env.now > before  # copies took simulated time
             assert manager.replications == 1
             assert manager.directory.get(node).replicas == (home, 1 - home)
-            assert node in tier.servers[1 - home].store
+            assert tier.replica_sids(node) == (home, 1 - home)
             assert manager.migration_bytes > 0
             assert tier.servers[1 - home].records_written == 1
 
@@ -433,7 +433,7 @@ class TestPlacementManager:
             manager = service.placement
             tier = service.tier
             node, idx = 0, service.assets.compact[0]
-            home = tier.partitioner(node, tier.num_servers)
+            home = tier.home(node)
             target = 1 - home
             manager.heat.touch(np.array([idx]), service.env.now, weight=5.0)
             # Skew the load proxy: the holder served everything lately.
@@ -445,8 +445,7 @@ class TestPlacementManager:
             assert manager.migrations == 1
             assert manager.directory.get(node).replicas == (target,)
             assert manager.directory.migrated_keys() == 1
-            assert node in tier.servers[target].store
-            assert node not in tier.servers[home].store
+            assert tier.replica_sids(node) == (target,)
             assert tier.locate(node) is tier.servers[target]
 
     def test_cooled_records_are_released(self):
@@ -471,9 +470,9 @@ class TestPlacementManager:
             # ...and the record reverts to hash-home-only.
             assert manager.directory.get(node) is None
             assert manager.releases == 1
-            home = service.tier.partitioner(node, service.tier.num_servers)
-            assert node in service.tier.servers[home].store
-            assert node not in service.tier.servers[1 - home].store
+            home = service.tier.home(node)
+            assert service.tier.replica_sids(node) == (home,)
+            assert service.tier.locate(node) is service.tier.servers[home]
 
     def test_round_byte_budget_bounds_a_round(self):
         with self._service(heat_threshold=1.0, replicate_threshold=1.0,

@@ -11,7 +11,6 @@ from repro.embedding import batch_nelder_mead, nelder_mead
 from repro.graph import CSRGraph, Graph, bfs_distances
 from repro.storage import (
     AdjacencyRecord,
-    LogStructuredStore,
     murmur3_32,
     record_for_node,
     record_size,
@@ -103,13 +102,6 @@ class TestRecordProperties:
         assert decoded == record
 
     @settings(max_examples=100, deadline=None)
-    @given(node=st.integers(min_value=0, max_value=2**30), out_edges=edges,
-           in_edges=edges)
-    def test_size_bytes_is_exact(self, node, out_edges, in_edges):
-        record = AdjacencyRecord(node, out_edges, in_edges)
-        assert record.size_bytes() == len(record.encode())
-
-    @settings(max_examples=100, deadline=None)
     @given(
         node_label=st.one_of(labels, st.integers()),
         out_edges=st.dictionaries(st.integers(0, 30), labels, max_size=10),
@@ -140,53 +132,6 @@ class TestMurmurProperties:
         value = murmur3_32(data, seed)
         assert 0 <= value < 2**32
         assert murmur3_32(data, seed) == value
-
-
-# ---------------------------------------------------------------------------
-# Log-structured store vs a plain dict model
-# ---------------------------------------------------------------------------
-
-store_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["put", "delete", "get"]),
-        st.integers(min_value=0, max_value=15),
-        st.binary(min_size=0, max_size=40),
-    ),
-    max_size=150,
-)
-
-
-class TestStoreModelProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(ops=store_ops)
-    def test_matches_dict_model(self, ops):
-        store = LogStructuredStore(segment_bytes=128, clean_threshold=0.4)
-        model = {}
-        for op, key, value in ops:
-            if op == "put":
-                store.put(key, value)
-                model[key] = value
-            elif op == "delete" and key in model:
-                store.delete(key)
-                del model[key]
-            else:
-                assert (key in store) == (key in model)
-                if key in model:
-                    assert store.get(key) == model[key]
-        assert len(store) == len(model)
-        for key, value in model.items():
-            assert store.get(key) == value
-
-    @settings(max_examples=30, deadline=None)
-    @given(ops=store_ops)
-    def test_utilization_bounded(self, ops):
-        store = LogStructuredStore(segment_bytes=128, clean_threshold=0.4)
-        for op, key, value in ops:
-            if op == "put":
-                store.put(key, value)
-            elif op == "delete" and key in store:
-                store.delete(key)
-            assert 0.0 <= store.utilization() <= 1.0
 
 
 # ---------------------------------------------------------------------------

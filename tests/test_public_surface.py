@@ -12,6 +12,7 @@ from dataclasses import fields
 
 import repro
 import repro.core
+import repro.storage
 import repro.workloads
 from repro import ClusterConfig, GraphService, run_workload
 from repro.core import AdaptiveRouting, AdmissionConfig
@@ -48,6 +49,13 @@ k_reach_stream merge_arrivals poisson_arrivals ppr_stream sample_stream
 shifting_hotspot_stream uniform_stream zipfian_stream
 """
 
+STORAGE = """
+AdjacencyRecord HOME HeatTracker Move Placement PlacementDirectory
+StorageServer StorageServerDown StorageTier UNCHANGED hash_node_id
+hash_node_ids heat_by_server murmur3_32 pick_read_replica record_for_node
+record_size
+"""
+
 CONFIG_FIELDS = """
 num_processors num_storage_servers routing cache_capacity_bytes
 cache_policy costs load_factor alpha dim num_landmarks min_separation
@@ -74,6 +82,10 @@ def test_core_exports():
 
 def test_workloads_exports():
     assert _exported(repro.workloads) == sorted(WORKLOADS.split())
+
+
+def test_storage_exports():
+    assert _exported(repro.storage) == sorted(STORAGE.split())
 
 
 def test_cluster_config_fields():

@@ -107,6 +107,27 @@ class TestUnhandledFailureTrap:
         p = env.process(watcher(env))
         assert env.run(until=p) == "caught"
 
+    def test_non_worker_failure_is_trapped_beside_observed_workers(self):
+        # Processor workers carry an observer (their crash surfaces at
+        # drain()); any other process that fails unobserved still trips
+        # the trap.
+        config = ClusterConfig(
+            num_processors=2, num_storage_servers=2, routing="hash",
+            num_landmarks=4, min_separation=1, dim=3, embed_method="lmds",
+        )
+        graph = erdos_renyi(40, 80, seed=3)
+        with GraphService.open(graph, config, sanitize=True) as service:
+            env = service.env
+
+            def failing(env):
+                yield env.timeout(1.0)
+                raise ValueError("boom")
+
+            env.process(failing(env))
+            with pytest.raises(ValueError, match="boom"):
+                env.run()
+            service.close(drain=False)
+
     def test_unsanitized_failure_stays_silent(self):
         # Documents the default (simpy-like) behavior the trap tightens.
         env = Environment(sanitize=False)
@@ -267,7 +288,6 @@ class TestTieAuditGather:
     def _processor(env, graph):
         assets = GraphAssets(graph)
         tier = StorageTier(env, num_servers=3)
-        tier.load_graph(graph)
         # Capacity far above the working set: evictions would make
         # shared-cache hit counts legitimately order-dependent.
         return QueryProcessor(env, 0, tier, assets, DEFAULT_COSTS,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graph import Graph
-from repro.storage import AdjacencyRecord, graph_to_records, record_for_node
+from repro.storage import AdjacencyRecord, record_for_node
 
 
 @pytest.fixture
@@ -62,30 +62,29 @@ class TestCodec:
         assert decoded == record
         assert decoded.degree == 0
 
-    def test_size_bytes_matches_encoding(self, knowledge_graph):
-        for node in knowledge_graph.nodes():
-            record = record_for_node(knowledge_graph, node)
-            assert record.size_bytes() == len(record.encode())
-
     def test_size_grows_with_degree(self):
         small = AdjacencyRecord(0, out_edges=[(1, None)])
         large = AdjacencyRecord(0, out_edges=[(i, None) for i in range(100)])
-        assert large.size_bytes() > small.size_bytes()
+        assert len(large.encode()) > len(small.encode())
 
     def test_negative_node_ids(self):
         record = AdjacencyRecord(-5, out_edges=[(-1, None)])
         assert AdjacencyRecord.decode(record.encode()) == record
 
 
+def _records(graph):
+    return [record_for_node(graph, node) for node in graph.nodes()]
+
+
 class TestGraphToRecords:
     def test_one_record_per_node(self, knowledge_graph):
-        records = list(graph_to_records(knowledge_graph))
+        records = _records(knowledge_graph)
         assert len(records) == knowledge_graph.num_nodes
         assert {r.node_id for r in records} == set(knowledge_graph.nodes())
 
     def test_every_edge_appears_twice(self, knowledge_graph):
         # Each directed edge appears once as out-edge, once as in-edge.
-        records = {r.node_id: r for r in graph_to_records(knowledge_graph)}
+        records = {r.node_id: r for r in _records(knowledge_graph)}
         out_total = sum(len(r.out_edges) for r in records.values())
         in_total = sum(len(r.in_edges) for r in records.values())
         assert out_total == knowledge_graph.num_edges

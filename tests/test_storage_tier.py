@@ -1,9 +1,26 @@
-"""Storage server and tier tests on the simulation kernel."""
+"""Storage server and tier tests on the simulation kernel.
 
+Reads go through the one read path every query takes —
+``gather_nodes`` → ``_ServerFetch`` on a bare :class:`QueryProcessor` —
+and writes through ``StorageServer.multiput_process`` or the tier's
+record mover. The tier holds no record bytes: sizes drive timing, and
+where a record lives is its hash home plus the placement directory.
+"""
+
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from repro.costs import StorageServiceModel
-from repro.graph import erdos_renyi, ring_of_cliques
+from repro.core import GraphAssets, QueryStats, gather_nodes
+from repro.core.processor import QueryProcessor
+from repro.costs import (
+    DEFAULT_COSTS,
+    CacheCostModel,
+    NetworkModel,
+    StorageServiceModel,
+)
+from repro.graph import GraphUpdate, erdos_renyi, ring_of_cliques
 from repro.sim import Environment
 from repro.storage import (
     HOME,
@@ -12,9 +29,16 @@ from repro.storage import (
     StorageServer,
     StorageServerDown,
     StorageTier,
-    modulo_partitioner,
 )
 from repro.storage.records import record_for_node
+
+#: Free network transfers and cache upkeep: a gather's simulated time is
+#: then exactly the storage pipeline's.
+_PIPELINE_ONLY = replace(
+    DEFAULT_COSTS,
+    network=NetworkModel(name="zero", latency=0.0, bandwidth=float("inf")),
+    cache=CacheCostModel(lookup=0.0, insert=0.0),
+)
 
 
 @pytest.fixture
@@ -22,34 +46,55 @@ def env():
     return Environment()
 
 
-@pytest.fixture
-def loaded_tier(env):
-    tier = StorageTier(env, num_servers=3, partitioner=modulo_partitioner)
-    graph = ring_of_cliques(4, 5)
-    tier.load_graph(graph)
-    return tier, graph
+@pytest.fixture(scope="module")
+def graph():
+    # Nodes 0..19: compact index == node id.
+    return ring_of_cliques(4, 5)
+
+
+def _reader(tier, graph, cache_capacity_bytes=0):
+    """A bare processor reading ``graph``'s records from ``tier``."""
+    return QueryProcessor(tier.env, 0, tier, GraphAssets(graph),
+                          _PIPELINE_ONLY,
+                          cache_capacity_bytes=cache_capacity_bytes)
+
+
+def _read(processor, nodes, stats=None):
+    """Simulation process: one gather of ``nodes`` (compact indices)."""
+    yield from gather_nodes(processor, np.array(nodes, dtype=np.int64),
+                            stats if stats is not None else QueryStats())
+
+
+def _homed_on(tier, sid, count=1):
+    """The ``count`` smallest keys whose hash home is server ``sid``."""
+    keys = [k for k in range(1000) if tier.home(k) == sid]
+    return keys[:count]
+
+
+def _size(graph, node):
+    return len(record_for_node(graph, node).encode())
 
 
 class TestStorageServer:
-    def test_multiget_returns_values_and_takes_time(self, env):
+    def test_multiget_returns_values_and_takes_time(self, env, graph):
         model = StorageServiceModel(per_request=1e-6, per_key=1e-6, per_byte=0)
-        server = StorageServer(env, 0, model)
-        server.load(1, b"abc")
-        server.load(2, b"de")
-
-        proc = env.process(server.multiget_process([1, 2]))
-        values = env.run(until=proc)
-        assert values == {1: b"abc", 2: b"de"}
+        tier = StorageTier(env, num_servers=1, service_model=model)
+        processor = _reader(tier, graph, cache_capacity_bytes=1 << 20)
+        stats = QueryStats()
+        env.run(until=env.process(_read(processor, [1, 2], stats)))
         assert env.now == pytest.approx(3e-6)  # 1 request + 2 keys
+        # The records are now local: admitted to the processor cache.
+        assert 1 in processor.cache and 2 in processor.cache
+        assert stats.bytes_fetched == _size(graph, 1) + _size(graph, 2)
 
-    def test_requests_queue_fifo(self, env):
+    def test_requests_queue_fifo(self, env, graph):
         model = StorageServiceModel(per_request=10e-6, per_key=0, per_byte=0)
-        server = StorageServer(env, 0, model)
-        server.load(1, b"x")
+        tier = StorageTier(env, num_servers=1, service_model=model)
+        processor = _reader(tier, graph)
         finish_times = []
 
         def client(name):
-            yield env.process(server.multiget_process([1]))
+            yield from _read(processor, [1])
             finish_times.append((name, env.now))
 
         env.process(client("a"))
@@ -60,27 +105,14 @@ class TestStorageServer:
             ("b", pytest.approx(20e-6)),
         ]
 
-    def test_pipeline_width_allows_parallel_service(self, env):
-        model = StorageServiceModel(per_request=10e-6, per_key=0, per_byte=0)
-        server = StorageServer(env, 0, model, pipeline_width=2)
-        server.load(1, b"x")
-
-        def client():
-            yield env.process(server.multiget_process([1]))
-
-        env.process(client())
-        env.process(client())
-        env.run()
-        assert env.now == pytest.approx(10e-6)  # both served concurrently
-
-    def test_failed_server_raises(self, env):
-        server = StorageServer(env, 0, StorageServiceModel())
-        server.load(1, b"x")
-        server.fail()
+    def test_failed_server_raises(self, env, graph):
+        tier = StorageTier(env, num_servers=1)
+        processor = _reader(tier, graph)
+        tier.servers[0].fail()
 
         def client(caught):
             try:
-                yield env.process(server.multiget_process([1]))
+                yield from _read(processor, [1])
             except StorageServerDown:
                 caught.append(True)
 
@@ -88,23 +120,27 @@ class TestStorageServer:
         env.process(client(caught))
         env.run()
         assert caught == [True]
+        assert tier.servers[0].requests_served == 0
 
-    def test_recovered_server_serves_again(self, env):
-        server = StorageServer(env, 0, StorageServiceModel())
-        server.load(1, b"x")
+    def test_recovered_server_serves_again(self, env, graph):
+        tier = StorageTier(env, num_servers=1)
+        processor = _reader(tier, graph)
+        server = tier.servers[0]
         server.fail()
         server.recover()
-        proc = env.process(server.multiget_process([1]))
-        assert env.run(until=proc) == {1: b"x"}
+        env.run(until=env.process(_read(processor, [1])))
+        assert server.requests_served == 1
+        assert server.alive_transitions == [(0.0, False), (0.0, True)]
 
-    def test_counters(self, env):
-        server = StorageServer(env, 0, StorageServiceModel())
-        server.load(1, b"abc")
-        proc = env.process(server.multiget_process([1]))
-        env.run(until=proc)
+    def test_counters(self, env, graph):
+        tier = StorageTier(env, num_servers=1)
+        processor = _reader(tier, graph)
+        env.run(until=env.process(_read(processor, [1])))
+        server = tier.servers[0]
         assert server.requests_served == 1
         assert server.keys_served == 1
-        assert server.bytes_served == 3
+        assert server.bytes_served == _size(graph, 1)
+        assert server.writes_served == 0
 
 
 class TestStorageTier:
@@ -112,70 +148,57 @@ class TestStorageTier:
         with pytest.raises(ValueError):
             StorageTier(env, num_servers=0)
 
-    def test_modulo_partitioner_places_predictably(self, loaded_tier):
-        tier, _graph = loaded_tier
-        assert tier.locate(0) is tier.servers[0]
-        assert tier.locate(4) is tier.servers[1]
-        assert tier.locate(5) is tier.servers[2]
-
-    def test_load_graph_places_every_node(self, loaded_tier):
-        tier, graph = loaded_tier
-        assert sum(tier.load_distribution()) == graph.num_nodes
-
     def test_murmur_partitioning_is_balanced(self, env):
         tier = StorageTier(env, num_servers=4)
         graph = erdos_renyi(2000, 4000, seed=1)
-        tier.load_graph(graph)
-        counts = tier.load_distribution()
+        counts = np.bincount([tier.home(n) for n in graph.nodes()],
+                             minlength=4)
+        assert counts.sum() == graph.num_nodes
         assert min(counts) > 0.8 * (2000 / 4)
 
-    def test_fetch_decodes_records(self, env, loaded_tier):
-        tier, graph = loaded_tier
-        proc = env.process(tier.fetch_process([0, 1, 7]))
-        records = env.run(until=proc)
-        assert set(records) == {0, 1, 7}
-        for node, record in records.items():
-            expected = record_for_node(graph, node)
-            assert record == expected
-
-    def test_fetch_missing_keys_skipped(self, env, loaded_tier):
-        tier, _graph = loaded_tier
-        proc = env.process(tier.fetch_process([0, 99999]))
-        records = env.run(until=proc)
-        assert set(records) == {0}
-
-    def test_fetch_hits_servers_in_parallel(self, env):
+    def test_fetch_hits_servers_in_parallel(self, env, graph):
         # Two keys on two servers: elapsed time equals one service time,
         # not two, because multigets are issued concurrently.
         model = StorageServiceModel(per_request=10e-6, per_key=0, per_byte=0)
-        tier = StorageTier(
-            env, num_servers=2, service_model=model, partitioner=modulo_partitioner
-        )
-        from repro.storage import AdjacencyRecord
-
-        tier.servers[0].load(0, AdjacencyRecord(0).encode())
-        tier.servers[1].load(1, AdjacencyRecord(1).encode())
-        proc = env.process(tier.fetch_process([0, 1]))
-        env.run(until=proc)
+        tier = StorageTier(env, num_servers=2, service_model=model)
+        processor = _reader(tier, graph)
+        (a,), (b,) = _homed_on(tier, 0), _homed_on(tier, 1)
+        stats = QueryStats()
+        env.run(until=env.process(_read(processor, [a, b], stats)))
         assert env.now == pytest.approx(10e-6)
+        assert stats.storage_requests == 2
+        assert [s.requests_served for s in tier.servers] == [1, 1]
 
-    def test_partition_plan_groups_by_server(self, loaded_tier):
-        tier, _graph = loaded_tier
-        plan = tier.partition_plan([0, 3, 4, 6])
-        assert plan == {0: [0, 3, 6], 1: [4]}
+    def test_gather_groups_misses_by_home_server(self, env, graph):
+        tier = StorageTier(env, num_servers=3)
+        processor = _reader(tier, graph)
+        nodes = [0, 3, 4, 6, 9]
+        env.run(until=env.process(_read(processor, nodes)))
+        homes = [tier.home(n) for n in nodes]
+        for server in tier.servers:
+            mine = [n for n, h in zip(nodes, homes) if h == server.server_id]
+            assert server.requests_served == (1 if mine else 0)
+            assert server.keys_served == len(mine)
+            assert server.bytes_served == sum(_size(graph, n) for n in mine)
 
-    def test_store_record_upserts(self, env, loaded_tier):
-        tier, graph = loaded_tier
-        record = record_for_node(graph, 0)
-        record.out_edges.append((99, None))
-        tier.store_record(record)
-        proc = env.process(tier.fetch_process([0]))
-        fetched = env.run(until=proc)
-        assert 99 in fetched[0].out_neighbors()
+    def test_home_matches_owner_array_including_appended_nodes(self):
+        from repro import ClusterConfig, GraphService
 
-    def test_total_live_bytes_positive_after_load(self, loaded_tier):
-        tier, _graph = loaded_tier
-        assert tier.total_live_bytes() > 0
+        config = ClusterConfig(
+            num_processors=1, num_storage_servers=3, routing="hash",
+            num_landmarks=4, min_separation=1, dim=3, embed_method="lmds",
+        )
+        with GraphService.open(ring_of_cliques(4, 5), config) as service:
+            service.apply_updates([
+                GraphUpdate.add_edge(0, 100), GraphUpdate.add_edge(101, 7),
+                GraphUpdate.add_node(102),
+            ])
+            assets, tier = service.assets, service.tier
+            owners = assets.owner_array(tier.num_servers)
+            assert {100, 101, 102} <= set(assets.node_ids.tolist())
+            assert len(owners) == len(assets.node_ids)
+            for node in assets.node_ids.tolist():
+                assert tier.home(node) == owners[assets.compact[node]]
 
 
 class TestWritePath:
@@ -184,13 +207,9 @@ class TestWritePath:
             write_per_request=5e-6, write_per_key=1e-6, write_per_byte=0,
         )
         server = StorageServer(env, 0, model)
-        proc = env.process(
-            server.multiput_process([(1, b"abc"), (2, b"de")], nbytes=5)
-        )
-        env.run(until=proc)
+        proc = env.process(server.multiput_process(2, nbytes=5))
+        assert env.run(until=proc) == 2
         assert env.now == pytest.approx(7e-6)  # 1 request + 2 records
-        assert server.store.get(1) == b"abc"
-        assert server.store.get(2) == b"de"
         assert server.writes_served == 1
         assert server.records_written == 2
         assert server.bytes_written == 5
@@ -199,13 +218,10 @@ class TestWritePath:
 
     def test_multiput_accounting_mode_stores_nothing(self, env):
         server = StorageServer(env, 0, StorageServiceModel())
-        proc = env.process(
-            server.multiput_process([(1, None), (2, None)], nbytes=64)
-        )
-        env.run(until=proc)
-        assert len(server.store) == 0
+        env.run(until=env.process(server.multiput_process(2, nbytes=64)))
         assert server.records_written == 2
         assert server.bytes_written == 64
+        assert not hasattr(server, "store")  # sizes only, no record bytes
 
     def test_multiput_on_failed_server_raises(self, env):
         server = StorageServer(env, 0, StorageServiceModel())
@@ -213,7 +229,7 @@ class TestWritePath:
 
         def client(caught):
             try:
-                yield env.process(server.multiput_process([(1, b"x")], 1))
+                yield env.process(server.multiput_process(1, 1))
             except StorageServerDown:
                 caught.append(True)
 
@@ -221,24 +237,24 @@ class TestWritePath:
         env.process(client(caught))
         env.run()
         assert caught == [True]
+        assert server.records_written == 0
 
-    def test_writes_queue_behind_reads_on_the_pipeline(self, env):
+    def test_writes_queue_behind_reads_on_the_pipeline(self, env, graph):
         model = StorageServiceModel(
             per_request=10e-6, per_key=0, per_byte=0,
             write_per_request=10e-6, write_per_key=0, write_per_byte=0,
         )
-        server = StorageServer(env, 0, model)
-        server.load(1, b"x")
-
-        def reader():
-            yield env.process(server.multiget_process([1]))
+        tier = StorageTier(env, num_servers=1, service_model=model)
+        processor = _reader(tier, graph)
+        server = tier.servers[0]
 
         def writer(times):
-            yield env.process(server.multiput_process([(2, b"y")], 1))
+            yield env.process(server.multiput_process(1, 1))
             times.append(env.now)
 
         times = []
-        env.process(reader())
+        env.process(_read(processor, [1]))
+        env.run(until=5e-6)  # the read holds the pipeline
         env.process(writer(times))
         env.run()
         assert times == [pytest.approx(20e-6)]  # write waited for the read
@@ -247,33 +263,28 @@ class TestWritePath:
         model = StorageServiceModel(
             write_per_request=10e-6, write_per_key=0, write_per_byte=0,
         )
-        tier = StorageTier(
-            env, num_servers=2, service_model=model,
-            partitioner=modulo_partitioner,
-        )
+        tier = StorageTier(env, num_servers=2, service_model=model)
+        first, second = _homed_on(tier, 0, count=2)
+        (third,) = _homed_on(tier, 1)
         proc = env.process(tier.multiput_process([
-            (0, 8, b"a"), (1, 8, b"b"), (2, 8, b"c"),
+            (first, 8), (third, 8), (second, 8),
         ]))
         written = env.run(until=proc)
         assert written == (3, 24, None)
         # One multiput per server, concurrently: one write service time.
         assert env.now == pytest.approx(10e-6)
-        assert tier.servers[0].records_written == 2  # keys 0 and 2
+        assert [s.writes_served for s in tier.servers] == [1, 1]
+        assert tier.servers[0].records_written == 2
         assert tier.servers[1].records_written == 1
-        assert tier.servers[0].store.get(0) == b"a"
+        assert tier.servers[0].bytes_written == 16
 
     def test_tier_multiput_charges_network_when_given(self, env):
-        from repro.costs import NetworkModel
-
         model = StorageServiceModel(
             write_per_request=10e-6, write_per_key=0, write_per_byte=0,
         )
         network = NetworkModel(name="test", latency=5e-6, bandwidth=1e12)
-        tier = StorageTier(
-            env, num_servers=1, service_model=model,
-            partitioner=modulo_partitioner,
-        )
-        proc = env.process(tier.multiput_process([(0, 4, None)], network))
+        tier = StorageTier(env, num_servers=1, service_model=model)
+        proc = env.process(tier.multiput_process([(0, 4)], network))
         env.run(until=proc)
         # request transfer + write + ack transfer (~latency-dominated).
         assert env.now == pytest.approx(20e-6, rel=0.01)
@@ -290,67 +301,58 @@ class TestWritePath:
         model = StorageServiceModel(
             write_per_request=10e-6, write_per_key=0, write_per_byte=0,
         )
-        tier = StorageTier(
-            env, num_servers=2, service_model=model,
-            partitioner=modulo_partitioner,
-        )
+        tier = StorageTier(env, num_servers=2, service_model=model)
         tier.servers[0].fail()
+        (on_dead,), (on_live,) = _homed_on(tier, 0), _homed_on(tier, 1)
         proc = env.process(tier.multiput_process([
-            (0, 8, b"a"), (1, 8, b"b"),
+            (on_dead, 8), (on_live, 8),
         ]))
         records, nbytes, error = env.run(until=proc)
         assert isinstance(error, StorageServerDown)
         assert (records, nbytes) == (1, 8)
-        assert tier.servers[1].store.get(1) == b"b"
+        assert tier.servers[1].records_written == 1
+        assert tier.servers[1].bytes_written == 8
         assert tier.servers[0].records_written == 0
 
 
 # ---------------------------------------------------------------------------
-# The record mover: timed write -> directory flip -> stale-copy clean-up
+# The record mover: timed write -> directory flip
 # ---------------------------------------------------------------------------
 
 #: One read or one write batch occupies a pipeline for exactly this long.
 TICK = 10e-6
 
 
-def _slow_tier(env, num_servers=2, graph=None):
+def _slow_tier(env, num_servers=2):
     model = StorageServiceModel(
         per_request=TICK, per_key=0, per_byte=0,
         write_per_request=TICK, write_per_key=0, write_per_byte=0,
     )
-    tier = StorageTier(
-        env, num_servers=num_servers, service_model=model,
-        partitioner=modulo_partitioner,
-    )
-    if graph is not None:
-        tier.load_graph(graph)
-    return tier
+    return StorageTier(env, num_servers=num_servers, service_model=model)
 
 
 def _move(tier, kind, key, write_to, replicas, size=8):
     """A move for ``key`` whose cache key is the key itself."""
-    home = tier.partitioner(key, tier.num_servers)
-    return Move(kind, key, key, home, size, tuple(write_to), replicas)
-
-
-def _holders(tier, key):
-    return [s.server_id for s in tier.servers if key in s.store]
+    return Move(kind, key, key, tier.home(key), size, tuple(write_to),
+                replicas)
 
 
 class TestRecordMover:
-    def test_legs_spawn_in_first_appearance_order_on_the_read_pipeline(self, env):
+    def test_legs_spawn_in_first_appearance_order_on_the_read_pipeline(
+            self, env, graph):
         tier = _slow_tier(env)
-        tier.servers[1].load(9, b"x")
         spawned = []
         write_leg = tier._server_write_process
 
-        def recording(server, entries, nbytes, network):
-            spawned.append((server.server_id, [k for k, _p in entries], nbytes))
-            return write_leg(server, entries, nbytes, network)
+        def recording(server, keys, nbytes, network):
+            spawned.append((server.server_id, list(keys), nbytes))
+            return write_leg(server, keys, nbytes, network)
 
         tier._server_write_process = recording
         # A read already occupies server 1 when the wave arrives.
-        env.process(tier.servers[1].multiget_process([9]))
+        (read_key,) = _homed_on(tier, 1)
+        env.process(_read(_reader(tier, graph), [read_key]))
+        env.run(until=TICK / 2)
         moves = [
             _move(tier, "update", 1, (1,), UNCHANGED),
             _move(tier, "update", 0, (0,), UNCHANGED),
@@ -362,6 +364,7 @@ class TestRecordMover:
         # Server 1's leg queued behind the read (FIFO); server 0's did
         # not, and the wave ends when its slowest leg does.
         assert env.now == pytest.approx(2 * TICK)
+        assert tier.servers[1].requests_served == 1
         assert tier.servers[1].writes_served == 1
         assert tier.servers[1].records_written == 2
         assert all(move.landed for move in moves)
@@ -388,104 +391,101 @@ class TestRecordMover:
 
     def test_accounting_mode_writes_sizes_only(self, env):
         tier = _slow_tier(env)
-        move = _move(tier, "migrate", 0, (1,), (1,), size=64)
+        (key,) = _homed_on(tier, 0)
+        move = _move(tier, "migrate", key, (1,), (1,), size=64)
         env.run(until=env.process(tier.move_process([move])))
-        assert move.landed and tier.replica_sids(0) == (1,)
+        assert move.landed and tier.replica_sids(key) == (1,)
+        assert tier.servers[1].records_written == 1
         assert tier.servers[1].bytes_written == 64
-        assert all(len(server.store) == 0 for server in tier.servers)
-
-    def test_bulk_loaded_tier_lands_real_bytes(self, env):
-        graph = ring_of_cliques(4, 5)
-        tier = _slow_tier(env, graph=graph)
-        env.run(until=env.process(
-            tier.move_process([_move(tier, "migrate", 0, (1,), (1,))])
-        ))
-        expected = record_for_node(graph, 0).encode()
-        assert tier.servers[1].store.get(0) == expected
-        # An explicit payload wins over the tier's own encoding.
-        move = Move("update", 2, 2, 0, 8, (0,), UNCHANGED, payload=b"raw")
-        env.run(until=env.process(tier.move_process([move])))
-        assert tier.servers[0].store.get(2) == b"raw"
+        assert tier.servers[0].records_written == 0
 
     def test_migrate_one_copy_replicate_two(self, env):
-        tier = _slow_tier(env, num_servers=3, graph=ring_of_cliques(4, 5))
-        migrate = _move(tier, "migrate", 0, (1,), (1,))
-        replicate = _move(tier, "replicate", 3, (2,), (0, 2))
+        tier = _slow_tier(env, num_servers=3)
+        (moved,) = _homed_on(tier, 0)
+        (copied,) = _homed_on(tier, 2)
+        migrate = _move(tier, "migrate", moved, (1,), (1,))
+        replicate = _move(tier, "replicate", copied, (0,), (2, 0))
         env.run(until=env.process(tier.move_process([migrate, replicate])))
-        assert _holders(tier, 0) == [1]
-        assert tier.replica_sids(0) == (1,)
-        assert _holders(tier, 3) == [0, 2]
-        assert tier.replica_sids(3) == (0, 2)
+        assert tier.replica_sids(moved) == (1,)
+        assert tier.locate(moved) is tier.servers[1]
+        assert tier.replica_sids(copied) == (2, 0)
+        assert tier.directory.get(copied).home == 2
         # Both started from the hash home: no exception was replaced.
         assert migrate.replaced is None and replicate.replaced is None
 
     def test_directory_flips_at_the_landing_instant(self, env):
-        tier = _slow_tier(env, graph=ring_of_cliques(4, 5))
+        tier = _slow_tier(env)
+        (key,) = _homed_on(tier, 0)
         proc = env.process(
-            tier.move_process([_move(tier, "migrate", 0, (1,), (1,))])
+            tier.move_process([_move(tier, "migrate", key, (1,), (1,))])
         )
         env.run(until=TICK / 2)  # copy in flight
-        assert tier.replica_sids(0) == (0,)
-        assert tier.locate(0) is tier.servers[0]
-        assert _holders(tier, 0) == [0]
+        assert tier.replica_sids(key) == (0,)
+        assert tier.locate(key) is tier.servers[0]
+        assert tier.directory.get(key) is None
         env.run(until=proc)
         assert env.now == pytest.approx(TICK)
-        assert tier.locate(0) is tier.servers[1]
-        assert _holders(tier, 0) == [1]
+        assert tier.locate(key) is tier.servers[1]
+        assert tier.replica_sids(key) == (1,)
 
     def test_revert_home_drops_substitutes_after_the_home_copy_lands(self, env):
-        tier = _slow_tier(env, num_servers=3, graph=ring_of_cliques(4, 5))
+        tier = _slow_tier(env, num_servers=3)
+        (key,) = _homed_on(tier, 0)
         env.run(until=env.process(
-            tier.move_process([_move(tier, "migrate", 0, (1,), (1,))])
+            tier.move_process([_move(tier, "migrate", key, (1,), (1,))])
         ))
-        restore = _move(tier, "restore", 0, (0,), HOME)
+        restore = _move(tier, "restore", key, (0,), HOME)
         proc = env.process(tier.move_process([restore]))
         env.run(until=env.now + TICK / 2)  # home copy in flight
-        assert _holders(tier, 0) == [1]
-        assert tier.replica_sids(0) == (1,)
+        assert tier.replica_sids(key) == (1,)
+        assert tier.locate(key) is tier.servers[1]
         env.run(until=proc)
         assert restore.landed and restore.replaced == (1,)
-        assert _holders(tier, 0) == [0]
+        assert tier.replica_sids(key) == (0,)
+        assert tier.locate(key) is tier.servers[0]
         assert len(tier.directory) == 0
 
     def test_failed_revert_keeps_the_substitute(self, env):
-        tier = _slow_tier(env, num_servers=3, graph=ring_of_cliques(4, 5))
+        tier = _slow_tier(env, num_servers=3)
+        (key,) = _homed_on(tier, 0)
         env.run(until=env.process(
-            tier.move_process([_move(tier, "migrate", 0, (1,), (1,))])
+            tier.move_process([_move(tier, "migrate", key, (1,), (1,))])
         ))
         tier.servers[0].fail()
-        restore = _move(tier, "restore", 0, (0,), HOME)
+        restore = _move(tier, "restore", key, (0,), HOME)
         env.run(until=env.process(tier.move_process([restore])))
         assert not restore.landed
-        assert _holders(tier, 0) == [1]
-        assert tier.replica_sids(0) == (1,)
+        assert tier.replica_sids(key) == (1,)
+        assert tier.locate(key) is tier.servers[1]
 
     def test_writeless_release_flips_without_simulated_time(self, env):
-        tier = _slow_tier(env, num_servers=3, graph=ring_of_cliques(4, 5))
+        tier = _slow_tier(env, num_servers=3)
+        (key,) = _homed_on(tier, 0)
         env.run(until=env.process(
-            tier.move_process([_move(tier, "replicate", 3, (2,), (0, 2))])
+            tier.move_process([_move(tier, "replicate", key, (2,), (0, 2))])
         ))
         landed_at = env.now
-        release = _move(tier, "release", 3, (), HOME)
+        release = _move(tier, "release", key, (), HOME)
         env.run(until=env.process(tier.move_process([release])))
         assert env.now == landed_at
         assert release.landed and release.replaced == (0, 2)
-        assert _holders(tier, 3) == [0]
+        assert tier.replica_sids(key) == (0,)
+        assert tier.directory.get(key) is None
 
     @pytest.mark.parametrize("with_network, events", [(False, 14), (True, 18)])
     def test_a_wave_adds_no_event_beyond_its_legs(self, env, with_network, events):
         # Event counts of the pre-mover write loop for this fixed
-        # two-server, three-record wave (measured at the parent commit):
+        # two-server, three-record wave (two records on the first leg):
         # awaiting the legs costs no Condition and no observer event.
-        from repro.costs import NetworkModel
-
         network = (
             NetworkModel(name="test", latency=5e-6, bandwidth=1e12)
             if with_network else None
         )
         tier = _slow_tier(env)
+        first, second = _homed_on(tier, 0, count=2)
+        (third,) = _homed_on(tier, 1)
         proc = env.process(tier.multiput_process(
-            [(0, 8, None), (1, 8, None), (2, 8, None)], network,
+            [(first, 8), (third, 8), (second, 8)], network,
         ))
         env.run(until=proc)
         assert env.events_processed == events
