@@ -59,7 +59,7 @@ def main() -> None:
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(TOP)
     print("Reading the profile: Environment.run + Process._resume are the "
-          "kernel; gather_nodes/_ServerFetch are storage round trips; "
+          "kernel; gather_nodes/RoundTrip are storage round trips; "
           "ProcessorCache.get_many is the probe path. If a new entry "
           "crowds these out, that is the next optimisation target.")
 

@@ -17,16 +17,13 @@ CSR views.
 Hot-path design
 ---------------
 
-The per-server round trip used to be a generator chain (request-transfer
-timeout, a spawned server process, response-transfer timeout) nested in
-its own :class:`~repro.sim.events.Process`. :class:`_ServerFetch` fuses it
-into a callback chain over precomputed latencies: request arrival →
-pipeline grant → service end (release) → response arrival → completion.
-Queueing still goes through the server's FIFO pipeline ``Resource``, so
-contention, utilisation accounting and failure injection are identical to
-the generator version — the simulated times and their ordering are
-bit-for-bit the same, with two generator trampolines, two ``Process``
-objects and an ``Initialize`` event per fetch gone from the hot path.
+Each per-server fetch is one :class:`~repro.storage.server.RoundTrip`:
+the storage server's fused callback chain (request arrival → pipeline
+grant → service end → response arrival), which is its own completion
+event — no generator trampoline, ``Process`` or ``Initialize`` event per
+fetch. The record mover's write legs are the same class, so reads and
+writes share one FIFO pipeline, one liveness check and one set of
+counters per server.
 Record sizes (``GraphAssets.record_sizes``) and owners
 (``GraphAssets.owner_array``, the tier's hash homes) come from
 precomputed arrays: the storage tier holds no record bytes.
@@ -43,84 +40,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...sim import Event
 from ...storage.placement import pick_read_replica
-from ...storage.server import StorageServerDown
+from ...storage.server import RoundTrip
 from ..metrics import QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..processor import QueryProcessor
-
-_REQUEST_HEADER_BYTES = 24
-_PER_KEY_REQUEST_BYTES = 8
-_RESPONSE_HEADER_BYTES = 16
-
-
-class _ServerFetch(Event):
-    """One in-flight multiget round trip to a single storage server.
-
-    The fetch *is* its own completion event: it subclasses
-    :class:`~repro.sim.events.Event` and succeeds when the response
-    payload has fully arrived (or fails with
-    :class:`StorageServerDown`), so a gather wave allocates one object
-    per touched server instead of a fetch-plus-event pair. The chain is
-    driven entirely by event callbacks on the simulation kernel; it is
-    the tier's one read path: it queues on the server's FIFO pipeline,
-    checks liveness at grant, and bumps the server's read counters
-    (``requests_served`` / ``keys_served`` / ``bytes_served``).
-    """
-
-    __slots__ = ("processor", "server", "num_keys", "nbytes", "request")
-
-    def __init__(self, processor: "QueryProcessor", server_id: int,
-                 num_keys: int, nbytes: int) -> None:
-        env = processor.env
-        super().__init__(env)
-        self.processor = processor
-        self.server = processor.tier.servers[server_id]
-        self.num_keys = num_keys
-        self.nbytes = nbytes
-        request_bytes = _REQUEST_HEADER_BYTES + _PER_KEY_REQUEST_BYTES * num_keys
-        arrival = env.timeout(
-            processor.costs.network.transfer_time(request_bytes)
-        )
-        arrival.callbacks.append(self._on_arrival)
-
-    def _on_arrival(self, _event: Event) -> None:
-        """Request reached the server: join the FIFO service pipeline."""
-        request = self.server.pipeline.request()
-        self.request = request
-        request.callbacks.append(self._on_grant)
-
-    def _on_grant(self, _event: Event) -> None:
-        server = self.server
-        if not server.alive:
-            server.pipeline.release(self.request)
-            self.fail(
-                StorageServerDown(f"storage server {server.server_id} is down")
-            )
-            return
-        service = server.env.timeout(
-            server.service.service_time(self.num_keys, self.nbytes)
-        )
-        service.callbacks.append(self._on_service_end)
-
-    def _on_service_end(self, _event: Event) -> None:
-        server = self.server
-        server.requests_served += 1
-        server.keys_served += self.num_keys
-        server.bytes_served += self.nbytes
-        server.pipeline.release(self.request)
-        response = self.env.timeout(
-            self.processor.costs.network.transfer_time(
-                _RESPONSE_HEADER_BYTES + self.nbytes
-            )
-        )
-        response.callbacks.append(self._on_response)
-
-    def _on_response(self, _event: Event) -> None:
-        self.succeed(None)
-
 
 def gather_nodes(processor: "QueryProcessor", nodes: np.ndarray,
                  stats: QueryStats, count_in_stats: bool = True):
@@ -164,6 +89,8 @@ def gather_nodes(processor: "QueryProcessor", nodes: np.ndarray,
 
     if num_missed:
         tier = processor.tier
+        servers = tier.servers
+        network = costs.network
         if tier.heat is not None:
             # Decayed access-frequency tracking for dynamic placement.
             # Pure bookkeeping — no simulated time passes, so runs with
@@ -183,20 +110,19 @@ def gather_nodes(processor: "QueryProcessor", nodes: np.ndarray,
             if overlay is not None:
                 entry = overlay.get(node)
                 if entry is not None:
-                    sid = pick_read_replica(entry.replicas, tier.servers)
+                    sid = pick_read_replica(entry.replicas, servers)
             if tier.on_read_failure is not None \
-                    and not tier.servers[sid].alive:
+                    and not servers[sid].alive:
                 # Demand repair: tell the topology layer which key this
                 # (about-to-fail) probe is blocked on.
                 tier.on_read_failure([node])
-            fetches = [_ServerFetch(processor, sid, 1, total_bytes)]
+            fetches = [RoundTrip(servers[sid], network, 1, total_bytes)]
         else:
             owners = processor.owner_of[missed]
             if overlay is not None:
                 # Read-any: migrated/replicated misses go to the
                 # least-loaded live replica instead of the hash owner.
                 owners = owners.copy()
-                servers = tier.servers
                 for pos, cache_key in enumerate(missed.tolist()):
                     entry = overlay.get(cache_key)
                     if entry is not None:
@@ -211,12 +137,12 @@ def gather_nodes(processor: "QueryProcessor", nodes: np.ndarray,
             touched = np.nonzero(counts)[0]
             if tier.on_read_failure is not None:
                 for sid in touched.tolist():
-                    if not tier.servers[sid].alive:
+                    if not servers[sid].alive:
                         tier.on_read_failure(
                             missed[owners == sid].tolist()
                         )
             fetches = [
-                _ServerFetch(processor, sid, count, int(nbytes))
+                RoundTrip(servers[sid], network, count, int(nbytes))
                 for sid, count, nbytes in zip(
                     touched.tolist(), counts[touched].tolist(),
                     byte_sums[touched].tolist(), strict=True)

@@ -31,10 +31,6 @@ class NetworkModel:
         """One-way time to move ``nbytes``."""
         return self.latency + nbytes / self.bandwidth
 
-    def round_trip_time(self, request_bytes: int, response_bytes: int) -> float:
-        """Request out + response back."""
-        return self.transfer_time(request_bytes) + self.transfer_time(response_bytes)
-
 
 #: 40 Gbps Infiniband with RDMA — microsecond-scale one-way latency.
 INFINIBAND = NetworkModel(name="infiniband", latency=1.5e-6, bandwidth=5.0e9)

@@ -235,41 +235,14 @@ class GraphEmbedding:
         return self.coords.nbytes + extra
 
     # -- incremental maintenance ---------------------------------------------
-    def add_node(self, node_id: int, landmark_dist_vector: np.ndarray) -> None:
-        """Embed a new node given its distances to the landmarks.
-
-        Runs the scalar Simplex Downhill the paper prescribes for node
-        additions; unreachable entries (inf or UNREACHABLE) are ignored.
-        """
-        if self.knows(node_id):
-            raise ValueError(f"node {node_id} already embedded")
-        vector = np.asarray(landmark_dist_vector, dtype=np.float64).copy()
-        vector[vector == UNREACHABLE] = np.inf
-        valid = np.isfinite(vector) & (vector > 0)
-        if not valid.any():
-            # No landmark information: place at the landmark centroid.
-            self._extra[node_id] = self.landmark_coords.mean(axis=0)
-            return
-        anchors = self.landmark_coords[valid]
-        targets = vector[valid]
-
-        def objective(x: np.ndarray) -> float:
-            dist = np.sqrt(((anchors - x) ** 2).sum(axis=1))
-            return float((np.abs(targets - dist) / targets).mean())
-
-        # Initialise from the triangulation against the valid anchors.
-        start = anchors.mean(axis=0)
-        best, _value = nelder_mead(objective, start, max_iter=150, step=0.5)
-        self._extra[node_id] = best
-
     def add_nodes_lmds(self, node_ids: Sequence[int],
                        vectors: np.ndarray) -> None:
         """Batch-embed new nodes via LMDS triangulation.
 
         ``vectors`` is ``(len(node_ids), L)`` landmark distances (inf or
-        UNREACHABLE allowed). Much faster than per-node Simplex Downhill;
-        used when thousands of nodes arrive between offline rebuilds
-        (the Fig 10 robustness experiment).
+        UNREACHABLE allowed). One linear solve for the whole batch, no
+        per-node optimisation; used when thousands of nodes arrive
+        between offline re-embeddings (the Fig 10 robustness experiment).
         """
         if len(node_ids) == 0:
             return
@@ -297,9 +270,9 @@ class GraphEmbedding:
         neighbor is embedded yet); already-embedded nodes blend
         ``blend`` of the centroid into their existing coordinates, which
         damps oscillation when a whole dirty region refreshes at once.
-        Drift against true hop distances accumulates across refreshes and
-        is cleared by periodic full re-embedding, mirroring the landmark
-        index's rebuild story.
+        Drift against true hop distances accumulates across refreshes;
+        only a fresh :meth:`embed` clears it, as only a fresh
+        ``LandmarkIndex.build`` clears the landmark index's.
         """
         if not 0.0 <= blend <= 1.0:
             raise ValueError("blend must lie in [0, 1]")

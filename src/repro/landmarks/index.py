@@ -2,10 +2,12 @@
 
 This is the router-resident structure behind landmark routing: the
 ``(n, P)`` node-to-processor distance table (O(nP) storage, §3.4.1), plus
-the incremental maintenance the paper describes for graph updates — new
-nodes get distances from their neighbors' distances, edge updates refresh
-the endpoints and their neighbors up to 2 hops, and a periodic full rebuild
-resets accumulated approximation error.
+incremental maintenance for graph updates: a new node gets distances from
+its neighbors' distances (:meth:`LandmarkIndex.add_node`), and a batch of
+live updates re-relaxes its dirty nodes from their neighbors
+(:meth:`LandmarkIndex.refresh_nodes`). Relaxation is exact when the
+neighbors' vectors are exact and an upper bound otherwise; the drift
+stays until an index is built afresh (:meth:`LandmarkIndex.build`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..graph.digraph import Graph
-from ..graph.traversal import bfs_distances
 from .assignment import assign_landmarks_to_processors, node_processor_distances
 from .distances import UNREACHABLE, LandmarkDistances
 from .selection import select_landmarks
@@ -149,37 +150,6 @@ class LandmarkIndex:
             raise ValueError(f"node {node_id} already indexed")
         self._set_vector(node_id, self._relaxed_vector(neighbor_ids))
 
-    def update_edge(self, graph: Graph, u: int, v: int, added: bool = True) -> None:
-        """Refresh distances after an edge change between existing nodes.
-
-        Per the paper, the endpoints and their neighbors up to 2 hops get
-        their landmark distances recomputed. We recompute by relaxation
-        over the *current* graph; for deletions this is the paper's
-        "simpler approach" approximation, with drift removed by periodic
-        :meth:`rebuild`.
-        """
-        affected: set[int] = set()
-        for endpoint in (u, v):
-            if endpoint in graph:
-                affected.update(
-                    bfs_distances(graph, endpoint, max_hops=2, direction="both")
-                )
-        if not affected:
-            return
-        landmark_rows = self._landmark_rows()
-        # Two relaxation passes propagate improvements across the patch.
-        for _ in range(2):
-            for node in sorted(affected):
-                vector = self._relaxed_vector(graph.neighbors(node))
-                row = landmark_rows.get(node)
-                if row is not None:
-                    vector[row] = 0.0
-                if added:
-                    old = self.landmark_vector(node)
-                    if old is not None:
-                        vector = np.minimum(vector, old)
-                self._set_vector(node, vector)
-
     def refresh_nodes(self, graph: Graph, node_ids: Iterable[int]) -> int:
         """Batched incremental re-assignment of a dirty region.
 
@@ -189,13 +159,12 @@ class LandmarkIndex:
         when the neighbors' vectors are exact, an upper bound otherwise —
         in two passes so improvements propagate across the patch (new
         nodes chained to other new nodes resolve on the second pass).
-        Unlike :meth:`update_edge`'s add-only path, no minimum with the
-        old vector is taken: the batch may contain deletions, after which
-        the old vector is not a valid bound. A node whose relaxation
-        yields no information (every neighbor unknown) keeps its previous
-        vector — stale information beats none, and periodic
-        :meth:`rebuild` clears the drift. Returns how many nodes were
-        refreshed.
+        No minimum with the old vector is taken: the batch may contain
+        deletions, after which the old vector is not a valid bound. A
+        node whose relaxation yields no information (every neighbor
+        unknown) keeps its previous vector — stale information beats
+        none, and only a fresh :meth:`build` clears the drift. Returns
+        how many nodes were refreshed.
         """
         nodes = sorted(n for n in set(node_ids) if n in graph)
         if not nodes:

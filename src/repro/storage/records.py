@@ -28,31 +28,6 @@ class AdjacencyRecord:
     in_edges: List[Tuple[int, Optional[str]]] = field(default_factory=list)
     node_label: Optional[str] = None
 
-    # -- views -------------------------------------------------------------
-    def out_neighbors(self) -> List[int]:
-        return [v for v, _ in self.out_edges]
-
-    def in_neighbors(self) -> List[int]:
-        return [v for v, _ in self.in_edges]
-
-    def neighbors(self) -> List[int]:
-        """Bi-directed neighbor list, deduplicated, out-edges first."""
-        seen = set()
-        result = []
-        for v, _ in self.out_edges:
-            if v not in seen:
-                seen.add(v)
-                result.append(v)
-        for v, _ in self.in_edges:
-            if v not in seen:
-                seen.add(v)
-                result.append(v)
-        return result
-
-    @property
-    def degree(self) -> int:
-        return len(self.out_edges) + len(self.in_edges)
-
     # -- codec -------------------------------------------------------------
     def encode(self) -> bytes:
         """Serialize to the compact binary layout."""
@@ -68,36 +43,6 @@ class AdjacencyRecord:
                 parts.append(_ENTRY.pack(neighbor, len(encoded)))
                 parts.append(encoded)
         return b"".join(parts)
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "AdjacencyRecord":
-        """Inverse of :meth:`encode`."""
-        node_id, n_out, n_in = _HEADER.unpack_from(payload, 0)
-        offset = _HEADER.size
-        (label_len,) = struct.unpack_from("<H", payload, offset)
-        offset += 2
-        node_label = (
-            payload[offset:offset + label_len].decode("utf-8") if label_len else None
-        )
-        offset += label_len
-
-        def read_entries(count: int, offset: int):
-            entries: List[Tuple[int, Optional[str]]] = []
-            for _ in range(count):
-                neighbor, edge_len = _ENTRY.unpack_from(payload, offset)
-                offset += _ENTRY.size
-                label = (
-                    payload[offset:offset + edge_len].decode("utf-8")
-                    if edge_len
-                    else None
-                )
-                offset += edge_len
-                entries.append((neighbor, label))
-            return entries, offset
-
-        out_edges, offset = read_entries(n_out, offset)
-        in_edges, offset = read_entries(n_in, offset)
-        return cls(node_id, out_edges, in_edges, node_label)
 
 
 def record_for_node(graph: Graph, node: int) -> AdjacencyRecord:

@@ -13,7 +13,9 @@ plus the :class:`~repro.storage.placement.PlacementDirectory` of
 exceptions (empty ⇔ pure hash placement) — and the one way a record
 moves: :meth:`StorageTier.move_process`, the timed write → directory
 flip path that update writes, placement rounds and repair rounds all
-plan :class:`Move` lists for.
+plan :class:`Move` lists for. Each write leg is a
+:class:`~repro.storage.server.RoundTrip`, the same request a query's
+fetch is, so writes queue on the read pipelines in arrival order.
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ from ..costs import NetworkModel, StorageServiceModel
 from ..sim import Environment, Event
 from .murmur import hash_node_id
 from .placement import HeatTracker, PlacementDirectory, pick_read_replica
-from .server import StorageServer, StorageServerDown
-
-#: Wire framing of a multiput request/ack (mirrors the gather constants).
-_WRITE_HEADER_BYTES = 24
-_PER_RECORD_WRITE_BYTES = 12  # key + length prefix per record
-_WRITE_ACK_BYTES = 16
+from .server import RoundTrip, StorageServer, StorageServerDown
 
 #: :attr:`Move.replicas` values besides a new replica tuple.
 HOME: Tuple[int, ...] = ()  # drop the directory exception: back to the hash home
@@ -132,38 +129,16 @@ class StorageTier:
         """Every server currently holding ``key`` (write-all targets)."""
         return self.directory.replicas_for(key, self.home(key))
 
-    def _server_write_process(
-        self,
-        server: StorageServer,
-        keys: List[int],
-        nbytes: int,
-        network: Optional[NetworkModel],
-    ):
-        """One server's leg of a multiput: request transfer, write, ack."""
-        if network is not None:
-            request_bytes = (
-                _WRITE_HEADER_BYTES
-                + _PER_RECORD_WRITE_BYTES * len(keys)
-                + nbytes
-            )
-            yield self.env.timeout(network.transfer_time(request_bytes))
-        yield self.env.process(server.multiput_process(len(keys), nbytes))
-        if network is not None:
-            yield self.env.timeout(network.transfer_time(_WRITE_ACK_BYTES))
-        return len(keys), nbytes
-
-    def move_process(
-        self, moves: Sequence[Move], network: Optional[NetworkModel] = None
-    ):
+    def move_process(self, moves: Sequence[Move], network: NetworkModel):
         """The record mover: timed writes, then the directory flip — the
         one path by which records change servers or bytes.
 
         Every move's fresh copy (``size`` bytes) is written to its
         ``write_to`` servers through the same FIFO pipelines queries
-        fetch from, one batched leg per server (first-appearance order),
-        all legs in flight at once; ``network``, when given, charges each
-        leg's request/ack transfers. Every leg runs to completion — a
-        dead server fails its own leg, never the others'.
+        fetch from, one batched multiput :class:`RoundTrip` per server
+        (first-appearance order), all legs in flight at once, each paying
+        its request/ack transfers on ``network``. Every leg runs to
+        completion — a dead server fails its own leg, never the others'.
 
         At the instant the last leg finishes, each move whose legs all
         landed flips the directory to its ``replicas``, so no read ever
@@ -173,17 +148,16 @@ class StorageTier:
         order; per-move outcomes are left on the moves (``landed`` /
         ``replaced``).
         """
-        legs: Dict[int, List[int]] = {}
+        leg_records: Dict[int, int] = {}
         leg_bytes: Dict[int, int] = {}
         for move in moves:
             for sid in move.write_to:
-                legs.setdefault(sid, []).append(move.key)
+                leg_records[sid] = leg_records.get(sid, 0) + 1
                 leg_bytes[sid] = leg_bytes.get(sid, 0) + move.size
         pending = []
-        for sid, keys in legs.items():
-            leg = self.env.process(self._server_write_process(
-                self.servers[sid], keys, leg_bytes[sid], network,
-            ))
+        for sid, records in leg_records.items():
+            leg = RoundTrip(self.servers[sid], network, records,
+                            leg_bytes[sid], write=True)
             leg.callbacks.append(_observe_leg)
             pending.append((sid, leg))
         down: Dict[int, StorageServerDown] = {}
@@ -209,9 +183,7 @@ class StorageTier:
         return down
 
     def multiput_process(
-        self,
-        items: Iterable[Tuple[int, int]],
-        network: Optional[NetworkModel] = None,
+        self, items: Iterable[Tuple[int, int]], network: NetworkModel
     ):
         """Simulation process writing updated records in place: one
         :data:`UNCHANGED` move per ``(key, size_bytes)`` item through

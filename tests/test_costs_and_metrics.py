@@ -19,11 +19,6 @@ class TestNetworkModel:
         assert net.transfer_time(0) == pytest.approx(1e-6)
         assert net.transfer_time(1000) == pytest.approx(1e-6 + 1e-6)
 
-    def test_round_trip_sums_both_ways(self):
-        net = NetworkModel(name="x", latency=2e-6, bandwidth=1e9)
-        rtt = net.round_trip_time(100, 900)
-        assert rtt == pytest.approx(net.transfer_time(100) + net.transfer_time(900))
-
     def test_infiniband_beats_ethernet(self):
         assert INFINIBAND.latency < ETHERNET.latency
         assert INFINIBAND.bandwidth > ETHERNET.bandwidth

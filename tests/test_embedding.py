@@ -147,34 +147,6 @@ class TestGraphEmbedding:
                                    method="lmds")
         assert emb.storage_bytes() == csr.num_nodes * 4 * 8  # float64
 
-    def test_add_node_places_near_anchor(self, ring_setup):
-        _graph, csr, dists = ring_setup
-        emb = GraphEmbedding.embed(csr, dim=4, landmark_distances=dists,
-                                   method="lmds")
-        # New node at distance = (landmark vector of node 0) + 1.
-        vec = dists.to_node(csr.index_of(0)).astype(np.float64) + 1.0
-        emb.add_node(5555, vec)
-        placed = emb.coordinates_of(5555)
-        assert placed is not None
-        # It should land within a couple of hops' distance of node 0.
-        assert np.linalg.norm(placed - emb.coordinates_of(0)) < 4.0
-
-    def test_add_node_duplicate_rejected(self, ring_setup):
-        _graph, csr, dists = ring_setup
-        emb = GraphEmbedding.embed(csr, dim=3, landmark_distances=dists,
-                                   method="lmds")
-        with pytest.raises(ValueError):
-            emb.add_node(int(csr.node_ids[0]), np.ones(dists.num_landmarks))
-
-    def test_add_node_with_no_information_lands_at_centroid(self, ring_setup):
-        _graph, csr, dists = ring_setup
-        emb = GraphEmbedding.embed(csr, dim=3, landmark_distances=dists,
-                                   method="lmds")
-        emb.add_node(7777, np.full(dists.num_landmarks, np.inf))
-        assert np.allclose(
-            emb.coordinates_of(7777), emb.landmark_coords.mean(axis=0)
-        )
-
     def test_euclidean_unknown_node_raises(self, ring_setup):
         _graph, csr, dists = ring_setup
         emb = GraphEmbedding.embed(csr, dim=3, landmark_distances=dists,

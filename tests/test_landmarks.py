@@ -309,23 +309,6 @@ class TestLandmarkIndex:
         with pytest.raises(ValueError):
             index.add_node(0, [1])
 
-    def test_update_edge_improves_distances(self):
-        # Path graph: adding a shortcut edge shrinks landmark distances.
-        g = Graph()
-        for u in range(11):
-            g.add_edge(u, u + 1)
-            g.add_edge(u + 1, u)
-        index = LandmarkIndex.build(g, num_processors=2, num_landmarks=2,
-                                    min_separation=2)
-        far_node = 11
-        before = index.landmark_vector(far_node).copy()
-        g.add_edge(0, 10)
-        g.add_edge(10, 0)
-        index.update_edge(g, 0, 10, added=True)
-        after = index.landmark_vector(far_node)
-        assert (after <= before).all()
-        assert (after < before).any()
-
     def test_build_from_shared_distances(self, scale_free):
         graph, csr = scale_free
         built = LandmarkIndex.build(graph, num_processors=3, num_landmarks=9,

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from repro.core.cache import ProcessorCache
 from repro.embedding import batch_nelder_mead, nelder_mead
 from repro.graph import CSRGraph, Graph, bfs_distances
-from repro.storage import (
-    AdjacencyRecord,
-    murmur3_32,
-    record_for_node,
-    record_size,
-)
+from repro.storage import murmur3_32, record_for_node, record_size
 
 # ---------------------------------------------------------------------------
 # Cache invariants
@@ -71,36 +66,16 @@ class TestCacheProperties:
 
 
 # ---------------------------------------------------------------------------
-# Record codec round trips
+# Record sizes
 # ---------------------------------------------------------------------------
 
-# The codec canonicalizes empty labels to None (a zero-length label is
-# indistinguishable from "no label" on the wire), so strategies use
-# non-empty label text.
 labels = st.one_of(
     st.none(),
     st.text(alphabet=string.printable, min_size=1, max_size=12),
 )
-edges = st.lists(
-    st.tuples(st.integers(min_value=-(2**40), max_value=2**40), labels),
-    max_size=20,
-)
 
 
 class TestRecordProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        node=st.integers(min_value=-(2**40), max_value=2**40),
-        out_edges=edges,
-        in_edges=edges,
-        node_label=labels,
-    )
-    def test_encode_decode_round_trip(self, node, out_edges, in_edges,
-                                      node_label):
-        record = AdjacencyRecord(node, out_edges, in_edges, node_label)
-        decoded = AdjacencyRecord.decode(record.encode())
-        assert decoded == record
-
     @settings(max_examples=100, deadline=None)
     @given(
         node_label=st.one_of(labels, st.integers()),

@@ -1,6 +1,7 @@
 """Runtime sanitizer: every trap provoked, plus sanitize-on/off parity."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from repro.analysis.sanitize import (
 )
 from repro.core import GraphAssets, QueryStats, gather_nodes
 from repro.core.processor import QueryProcessor
-from repro.costs import DEFAULT_COSTS
+from repro.costs import DEFAULT_COSTS, CacheCostModel, NetworkModel
 from repro.datasets import memetracker_like
 from repro.graph import erdos_renyi
 from repro.sim import Environment, SimulationError
@@ -270,8 +271,8 @@ class TestTieAudit:
 class TestTieAuditGather:
     """Tie audit over the batched gather transaction (PR 9 hot path).
 
-    ``gather_nodes`` now issues one fused ``_ServerFetch`` callback chain
-    per touched server. The audit must (a) certify that a single batched
+    ``gather_nodes`` issues one fused ``RoundTrip`` callback chain per
+    touched server. The audit must (a) certify that a single batched
     gather's result-visible state is order-insensitive, (b) still *see*
     genuine sensitivity through the callback-chain path — same-instant
     contention on a server pipeline is attributed differently under FIFO
@@ -365,6 +366,67 @@ class TestTieAuditGather:
 
         result = audit_tie_sensitivity(build)
         assert not result.sensitive, result.describe()
+
+
+class TestTieAuditWriteLeg:
+    """Tie audit over a record-mover write leg beside a read.
+
+    A write leg is the same ``RoundTrip`` a fetch is, on the same server
+    pipelines. With free network and cache costs, a gather and a
+    multiput issued at one instant reach the servers together, and which
+    one each pipeline grants first is pure tie-break: the audit must flag
+    it. Issued while the read already holds the pipelines, the write
+    queues behind it by time alone: the audit must certify that.
+    """
+
+    FREE = replace(
+        DEFAULT_COSTS,
+        network=NetworkModel(name="zero", latency=0.0, bandwidth=float("inf")),
+        cache=CacheCostModel(lookup=0.0, insert=0.0),
+    )
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return erdos_renyi(120, 480, seed=11)
+
+    def _build(self, graph, write_at):
+        costs = self.FREE
+
+        def build(env):
+            tier = StorageTier(env, num_servers=3)
+            processor = QueryProcessor(env, 0, tier, GraphAssets(graph), costs,
+                                       cache_capacity_bytes=4 << 20)
+            done = []
+
+            def read():
+                yield from gather_nodes(
+                    processor, np.arange(0, 48, dtype=np.int64), QueryStats())
+                done.append(("read", env.now))
+
+            def write():
+                if write_at:
+                    yield env.timeout(write_at)
+                yield from tier.multiput_process(
+                    [(node, 64) for node in range(0, 48, 4)], costs.network)
+                done.append(("write", env.now))
+
+            env.process(read())
+            env.process(write())
+            return lambda: (sorted(done), [
+                (server.requests_served, server.writes_served)
+                for server in tier.servers
+            ])
+
+        return build
+
+    def test_staggered_write_insensitive(self, graph):
+        # Every read service takes >= 3 us: the write arrives mid-service.
+        result = audit_tie_sensitivity(self._build(graph, 1.37e-6))
+        assert not result.sensitive, result.describe()
+
+    def test_same_instant_write_is_flagged(self, graph):
+        result = audit_tie_sensitivity(self._build(graph, 0.0))
+        assert result.sensitive
 
 
 class TestTieTallies:

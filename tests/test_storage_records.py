@@ -23,53 +23,11 @@ def knowledge_graph():
     return g
 
 
-class TestRecordViews:
-    def test_out_and_in_neighbors(self, knowledge_graph):
-        record = record_for_node(knowledge_graph, 3)
-        assert sorted(record.out_neighbors()) == [4]
-        assert sorted(record.in_neighbors()) == [0, 1]
-
-    def test_bidirected_neighbors_deduplicated(self):
-        record = AdjacencyRecord(0, out_edges=[(1, None)], in_edges=[(1, None), (2, None)])
-        assert record.neighbors() == [1, 2]
-
-    def test_degree_counts_both_directions(self, knowledge_graph):
-        record = record_for_node(knowledge_graph, 3)
-        assert record.degree == 3
-
-
 class TestCodec:
-    def test_round_trip_plain(self):
-        record = AdjacencyRecord(7, out_edges=[(1, None), (2, None)], in_edges=[(3, None)])
-        decoded = AdjacencyRecord.decode(record.encode())
-        assert decoded == record
-
-    def test_round_trip_with_labels(self, knowledge_graph):
-        record = record_for_node(knowledge_graph, 0)
-        decoded = AdjacencyRecord.decode(record.encode())
-        assert decoded == record
-        assert decoded.node_label == "Jerry Yang"
-        labels = dict(decoded.out_edges)
-        assert labels[1] == "founded"
-
-    def test_round_trip_unicode_labels(self):
-        record = AdjacencyRecord(1, out_edges=[(2, "相互リンク")], node_label="ノード")
-        assert AdjacencyRecord.decode(record.encode()) == record
-
-    def test_round_trip_empty(self):
-        record = AdjacencyRecord(42)
-        decoded = AdjacencyRecord.decode(record.encode())
-        assert decoded == record
-        assert decoded.degree == 0
-
     def test_size_grows_with_degree(self):
         small = AdjacencyRecord(0, out_edges=[(1, None)])
         large = AdjacencyRecord(0, out_edges=[(i, None) for i in range(100)])
         assert len(large.encode()) > len(small.encode())
-
-    def test_negative_node_ids(self):
-        record = AdjacencyRecord(-5, out_edges=[(-1, None)])
-        assert AdjacencyRecord.decode(record.encode()) == record
 
 
 def _records(graph):

@@ -1,9 +1,10 @@
 """Storage server and tier tests on the simulation kernel.
 
 Reads go through the one read path every query takes —
-``gather_nodes`` → ``_ServerFetch`` on a bare :class:`QueryProcessor` —
-and writes through ``StorageServer.multiput_process`` or the tier's
-record mover. The tier holds no record bytes: sizes drive timing, and
+``gather_nodes`` on a bare :class:`QueryProcessor` — and writes through
+the tier's record mover (``StorageTier.multiput_process`` /
+``move_process``); both are :class:`RoundTrip` requests on the servers'
+FIFO pipelines. The tier holds no record bytes: sizes drive timing, and
 where a record lives is its hash home plus the placement directory.
 """
 
@@ -30,7 +31,9 @@ from repro.storage import (
     StorageServerDown,
     StorageTier,
 )
+from repro.storage import tier as tier_module
 from repro.storage.records import record_for_node
+from repro.storage.server import RoundTrip
 
 #: Free network transfers and cache upkeep: a gather's simulated time is
 #: then exactly the storage pipeline's.
@@ -39,6 +42,7 @@ _PIPELINE_ONLY = replace(
     network=NetworkModel(name="zero", latency=0.0, bandwidth=float("inf")),
     cache=CacheCostModel(lookup=0.0, insert=0.0),
 )
+_FREE_NETWORK = _PIPELINE_ONLY.network
 
 
 @pytest.fixture
@@ -201,15 +205,63 @@ class TestStorageTier:
                 assert tier.home(node) == owners[assets.compact[node]]
 
 
+class TestRoundTrip:
+    def test_wire_sizes_per_kind(self, env):
+        # One byte costs one microsecond on the wire; service is free.
+        network = NetworkModel(name="bytes", latency=0.0, bandwidth=1e6)
+        free = StorageServiceModel(
+            per_request=0, per_key=0, per_byte=0,
+            write_per_request=0, write_per_key=0, write_per_byte=0,
+        )
+        server = StorageServer(env, 0, free)
+        env.run(until=RoundTrip(server, network, 3, 100))
+        # 24 + 8 per key out, 16 + the records back.
+        assert env.now == pytest.approx((24 + 8 * 3 + 16 + 100) * 1e-6)
+        start = env.now
+        env.run(until=RoundTrip(server, network, 3, 100, write=True))
+        # 24 + 12 per record + the records out, a 16-byte ack back.
+        assert env.now - start == pytest.approx(
+            (24 + 12 * 3 + 100 + 16) * 1e-6)
+
+    def test_reads_and_writes_share_one_fifo_pipeline(self, env):
+        model = StorageServiceModel(
+            per_request=TICK, per_key=0, per_byte=0,
+            write_per_request=2 * TICK, write_per_key=0, write_per_byte=0,
+        )
+        server = StorageServer(env, 0, model)
+        done = []
+
+        def client(name, trip):
+            yield trip
+            done.append((name, env.now, server.requests_served,
+                         server.writes_served))
+
+        # Arrival order read, write, read: one pipeline serves them in it.
+        env.process(client("read", RoundTrip(server, _FREE_NETWORK, 3, 24)))
+        env.process(client("write", RoundTrip(
+            server, _FREE_NETWORK, 2, 16, write=True)))
+        env.process(client("again", RoundTrip(server, _FREE_NETWORK, 1, 8)))
+        env.run()
+        assert done == [
+            ("read", pytest.approx(TICK), 1, 0),
+            ("write", pytest.approx(3 * TICK), 1, 1),
+            ("again", pytest.approx(4 * TICK), 2, 1),
+        ]
+        assert (server.keys_served, server.bytes_served) == (4, 32)
+        assert (server.records_written, server.bytes_written) == (2, 16)
+
+
 class TestWritePath:
     def test_multiput_takes_write_time_and_stores(self, env):
         model = StorageServiceModel(
             write_per_request=5e-6, write_per_key=1e-6, write_per_byte=0,
         )
-        server = StorageServer(env, 0, model)
-        proc = env.process(server.multiput_process(2, nbytes=5))
-        assert env.run(until=proc) == 2
+        tier = StorageTier(env, num_servers=1, service_model=model)
+        proc = env.process(tier.multiput_process([(1, 2), (2, 3)],
+                                                 _FREE_NETWORK))
+        assert env.run(until=proc) == (2, 5, None)
         assert env.now == pytest.approx(7e-6)  # 1 request + 2 records
+        server = tier.servers[0]
         assert server.writes_served == 1
         assert server.records_written == 2
         assert server.bytes_written == 5
@@ -217,27 +269,25 @@ class TestWritePath:
         assert server.requests_served == 0 and server.bytes_served == 0
 
     def test_multiput_accounting_mode_stores_nothing(self, env):
-        server = StorageServer(env, 0, StorageServiceModel())
-        env.run(until=env.process(server.multiput_process(2, nbytes=64)))
+        tier = StorageTier(env, num_servers=1)
+        env.run(until=env.process(
+            tier.multiput_process([(1, 32), (2, 32)], _FREE_NETWORK)))
+        server = tier.servers[0]
         assert server.records_written == 2
         assert server.bytes_written == 64
         assert not hasattr(server, "store")  # sizes only, no record bytes
 
     def test_multiput_on_failed_server_raises(self, env):
-        server = StorageServer(env, 0, StorageServiceModel())
-        server.fail()
-
-        def client(caught):
-            try:
-                yield env.process(server.multiput_process(1, 1))
-            except StorageServerDown:
-                caught.append(True)
-
-        caught = []
-        env.process(client(caught))
-        env.run()
-        assert caught == [True]
-        assert server.records_written == 0
+        # The dead server's leg raises StorageServerDown; the tier hands
+        # it back instead of raising, with nothing counted as written.
+        tier = StorageTier(env, num_servers=1)
+        tier.servers[0].fail()
+        proc = env.process(tier.multiput_process([(1, 1)], _FREE_NETWORK))
+        records, nbytes, error = env.run(until=proc)
+        assert isinstance(error, StorageServerDown)
+        assert (records, nbytes) == (0, 0)
+        assert tier.servers[0].records_written == 0
+        assert tier.servers[0].writes_served == 0
 
     def test_writes_queue_behind_reads_on_the_pipeline(self, env, graph):
         model = StorageServiceModel(
@@ -246,10 +296,9 @@ class TestWritePath:
         )
         tier = StorageTier(env, num_servers=1, service_model=model)
         processor = _reader(tier, graph)
-        server = tier.servers[0]
 
         def writer(times):
-            yield env.process(server.multiput_process(1, 1))
+            yield from tier.multiput_process([(1, 1)], _FREE_NETWORK)
             times.append(env.now)
 
         times = []
@@ -268,7 +317,7 @@ class TestWritePath:
         (third,) = _homed_on(tier, 1)
         proc = env.process(tier.multiput_process([
             (first, 8), (third, 8), (second, 8),
-        ]))
+        ], _FREE_NETWORK))
         written = env.run(until=proc)
         assert written == (3, 24, None)
         # One multiput per server, concurrently: one write service time.
@@ -291,7 +340,7 @@ class TestWritePath:
 
     def test_tier_multiput_empty_batch_is_noop(self, env):
         tier = StorageTier(env, num_servers=2)
-        proc = env.process(tier.multiput_process([]))
+        proc = env.process(tier.multiput_process([], _FREE_NETWORK))
         assert env.run(until=proc) == (0, 0, None)
         assert env.now == 0.0
 
@@ -306,7 +355,7 @@ class TestWritePath:
         (on_dead,), (on_live,) = _homed_on(tier, 0), _homed_on(tier, 1)
         proc = env.process(tier.multiput_process([
             (on_dead, 8), (on_live, 8),
-        ]))
+        ], _FREE_NETWORK))
         records, nbytes, error = env.run(until=proc)
         assert isinstance(error, StorageServerDown)
         assert (records, nbytes) == (1, 8)
@@ -339,16 +388,15 @@ def _move(tier, kind, key, write_to, replicas, size=8):
 
 class TestRecordMover:
     def test_legs_spawn_in_first_appearance_order_on_the_read_pipeline(
-            self, env, graph):
+            self, env, graph, monkeypatch):
         tier = _slow_tier(env)
         spawned = []
-        write_leg = tier._server_write_process
 
-        def recording(server, keys, nbytes, network):
-            spawned.append((server.server_id, list(keys), nbytes))
-            return write_leg(server, keys, nbytes, network)
+        def recording(server, network, num_keys, nbytes, write=False):
+            spawned.append((server.server_id, num_keys, nbytes, write))
+            return RoundTrip(server, network, num_keys, nbytes, write)
 
-        tier._server_write_process = recording
+        monkeypatch.setattr(tier_module, "RoundTrip", recording)
         # A read already occupies server 1 when the wave arrives.
         (read_key,) = _homed_on(tier, 1)
         env.process(_read(_reader(tier, graph), [read_key]))
@@ -358,9 +406,10 @@ class TestRecordMover:
             _move(tier, "update", 0, (0,), UNCHANGED),
             _move(tier, "update", 3, (1,), UNCHANGED),
         ]
-        down = env.run(until=env.process(tier.move_process(moves)))
+        down = env.run(until=env.process(tier.move_process(moves,
+                                                           _FREE_NETWORK)))
         assert down == {}
-        assert spawned == [(1, [1, 3], 16), (0, [0], 8)]
+        assert spawned == [(1, 2, 16, True), (0, 1, 8, True)]
         # Server 1's leg queued behind the read (FIFO); server 0's did
         # not, and the wave ends when its slowest leg does.
         assert env.now == pytest.approx(2 * TICK)
@@ -376,7 +425,7 @@ class TestRecordMover:
         to_live = _move(tier, "migrate", 2, (1,), (1,))
         to_both = _move(tier, "replicate", 4, (0, 1), (0, 1))
         down = env.run(until=env.process(
-            tier.move_process([to_dead, to_live, to_both])
+            tier.move_process([to_dead, to_live, to_both], _FREE_NETWORK)
         ))
         assert list(down) == [0]
         assert isinstance(down[0], StorageServerDown)
@@ -393,7 +442,7 @@ class TestRecordMover:
         tier = _slow_tier(env)
         (key,) = _homed_on(tier, 0)
         move = _move(tier, "migrate", key, (1,), (1,), size=64)
-        env.run(until=env.process(tier.move_process([move])))
+        env.run(until=env.process(tier.move_process([move], _FREE_NETWORK)))
         assert move.landed and tier.replica_sids(key) == (1,)
         assert tier.servers[1].records_written == 1
         assert tier.servers[1].bytes_written == 64
@@ -405,7 +454,7 @@ class TestRecordMover:
         (copied,) = _homed_on(tier, 2)
         migrate = _move(tier, "migrate", moved, (1,), (1,))
         replicate = _move(tier, "replicate", copied, (0,), (2, 0))
-        env.run(until=env.process(tier.move_process([migrate, replicate])))
+        env.run(until=env.process(tier.move_process([migrate, replicate], _FREE_NETWORK)))
         assert tier.replica_sids(moved) == (1,)
         assert tier.locate(moved) is tier.servers[1]
         assert tier.replica_sids(copied) == (2, 0)
@@ -417,7 +466,7 @@ class TestRecordMover:
         tier = _slow_tier(env)
         (key,) = _homed_on(tier, 0)
         proc = env.process(
-            tier.move_process([_move(tier, "migrate", key, (1,), (1,))])
+            tier.move_process([_move(tier, "migrate", key, (1,), (1,))], _FREE_NETWORK)
         )
         env.run(until=TICK / 2)  # copy in flight
         assert tier.replica_sids(key) == (0,)
@@ -432,10 +481,10 @@ class TestRecordMover:
         tier = _slow_tier(env, num_servers=3)
         (key,) = _homed_on(tier, 0)
         env.run(until=env.process(
-            tier.move_process([_move(tier, "migrate", key, (1,), (1,))])
+            tier.move_process([_move(tier, "migrate", key, (1,), (1,))], _FREE_NETWORK)
         ))
         restore = _move(tier, "restore", key, (0,), HOME)
-        proc = env.process(tier.move_process([restore]))
+        proc = env.process(tier.move_process([restore], _FREE_NETWORK))
         env.run(until=env.now + TICK / 2)  # home copy in flight
         assert tier.replica_sids(key) == (1,)
         assert tier.locate(key) is tier.servers[1]
@@ -449,11 +498,11 @@ class TestRecordMover:
         tier = _slow_tier(env, num_servers=3)
         (key,) = _homed_on(tier, 0)
         env.run(until=env.process(
-            tier.move_process([_move(tier, "migrate", key, (1,), (1,))])
+            tier.move_process([_move(tier, "migrate", key, (1,), (1,))], _FREE_NETWORK)
         ))
         tier.servers[0].fail()
         restore = _move(tier, "restore", key, (0,), HOME)
-        env.run(until=env.process(tier.move_process([restore])))
+        env.run(until=env.process(tier.move_process([restore], _FREE_NETWORK)))
         assert not restore.landed
         assert tier.replica_sids(key) == (1,)
         assert tier.locate(key) is tier.servers[1]
@@ -462,25 +511,23 @@ class TestRecordMover:
         tier = _slow_tier(env, num_servers=3)
         (key,) = _homed_on(tier, 0)
         env.run(until=env.process(
-            tier.move_process([_move(tier, "replicate", key, (2,), (0, 2))])
+            tier.move_process([_move(tier, "replicate", key, (2,), (0, 2))], _FREE_NETWORK)
         ))
         landed_at = env.now
         release = _move(tier, "release", key, (), HOME)
-        env.run(until=env.process(tier.move_process([release])))
+        env.run(until=env.process(tier.move_process([release], _FREE_NETWORK)))
         assert env.now == landed_at
         assert release.landed and release.replaced == (0, 2)
         assert tier.replica_sids(key) == (0,)
         assert tier.directory.get(key) is None
 
-    @pytest.mark.parametrize("with_network, events", [(False, 14), (True, 18)])
-    def test_a_wave_adds_no_event_beyond_its_legs(self, env, with_network, events):
-        # Event counts of the pre-mover write loop for this fixed
-        # two-server, three-record wave (two records on the first leg):
-        # awaiting the legs costs no Condition and no observer event.
-        network = (
-            NetworkModel(name="test", latency=5e-6, bandwidth=1e12)
-            if with_network else None
-        )
+    def test_a_live_wave_costs_five_events_per_leg(self, env):
+        # A fixed two-server, three-record wave (two records on the first
+        # leg): the mover process's start and end plus five events per
+        # leg (request arrival, grant, service end, ack arrival, done).
+        # Awaiting the legs costs no Condition and no observer event.
+        network = NetworkModel(name="test", latency=5e-6, bandwidth=1e12)
+        events = 2 + 2 * 5
         tier = _slow_tier(env)
         first, second = _homed_on(tier, 0, count=2)
         (third,) = _homed_on(tier, 1)
@@ -488,6 +535,35 @@ class TestRecordMover:
             [(first, 8), (third, 8), (second, 8)], network,
         ))
         env.run(until=proc)
+        assert env.events_processed == events
+        env.run()
+        assert env.events_processed == events
+
+    @pytest.mark.parametrize("front_servers_up, events", [(False, 14), (True, 18)])
+    def test_a_wave_adds_no_event_beyond_its_legs(self, env, front_servers_up, events):
+        # A four-server, five-record wave (two records on the first leg)
+        # with servers 2 and 3 down, and servers 0 and 1 down too unless
+        # ``front_servers_up``: the mover's start and end, five events per
+        # live leg and three per dead one (request arrival, grant,
+        # failure). Failed legs cost no Condition and no observer event:
+        # 2 + 4 * 3 = 14 with every leg dead, 2 + 2 * 5 + 2 * 3 = 18 with
+        # two of the four alive.
+        network = NetworkModel(name="test", latency=5e-6, bandwidth=1e12)
+        tier = _slow_tier(env, num_servers=4)
+        first, second = _homed_on(tier, 0, count=2)
+        items = [(first, 8)]
+        for sid in (1, 2, 3):
+            (key,) = _homed_on(tier, sid)
+            items.append((key, 8))
+        items.append((second, 8))
+        down = (2, 3) if front_servers_up else (0, 1, 2, 3)
+        for sid in down:
+            tier.servers[sid].fail()
+        proc = env.process(tier.multiput_process(items, network))
+        env.run(until=proc)
+        records, _, error = proc.value
+        assert records == (3 if front_servers_up else 0)
+        assert isinstance(error, StorageServerDown)
         assert env.events_processed == events
         env.run()
         assert env.events_processed == events
